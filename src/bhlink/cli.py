@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .duality import Verdict, bh_dual, chain_cycle_closed_forms, is_twin, pipeline, se_certificate
-from .errors import BhlinkError, CrossCheckFailed, NoRepresentation, NonIntegralC, NoSplit, PreconditionFailed
+from .errors import BhlinkError, CrossCheckFailed, NonIntegralC, NoSplit, PreconditionFailed
 from .fixture import ROWS, FixtureRow
 from .invariants import HomologyProfile, homology_profile
 from .polynomial import BlockKind, classify
@@ -227,7 +227,7 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
         candidates = []
         try:
             candidates.append(find_chain_cycle(ws))
-        except (NoRepresentation, BhlinkError):
+        except BhlinkError:
             pass
         candidates.extend(reps)
         for chosen in candidates:

@@ -139,18 +139,12 @@ class CyclotomicDivisor:
     def coefficient_sum(self) -> int:
         """sum(a_j): the multiplicity of the root t = 1, i.e. the middle Betti
         number when this is an expanded link divisor."""
-        total = sum(self._terms.values(), Fraction(0))
-        if total.denominator != 1:
-            raise NonIntegralExpansion(f"coefficient sum {total} is not an integer")
-        return int(total)
+        return _integer_sum(((a, 1) for a in self._terms.values()), "coefficient sum")
 
     def root_count(self) -> int:
         """sum(a_j * j): the total root multiplicity, i.e. the degree of the
         characteristic polynomial (the Milnor number for a link divisor)."""
-        total = sum((a * j for j, a in self._terms.items()), Fraction(0))
-        if total.denominator != 1:
-            raise NonIntegralExpansion(f"root count {total} is not an integer")
-        return int(total)
+        return _integer_sum(((a, j) for j, a in self._terms.items()), "root count")
 
     def delta_order_at_one(self) -> int:
         """|Delta(1)| as an exact integer, or 0 when t = 1 is a root.
@@ -161,13 +155,20 @@ class CyclotomicDivisor:
         """
         if self.coefficient_sum() != 0:
             return 0
-        value = Fraction(1)
+        numerator = denominator = 1
         for j, a in self._terms.items():
             if j >= 2:
-                value *= Fraction(j) ** int(a)
-        if value.denominator != 1:
-            raise NonIntegralOrder(f"torsion order {value} is not an integer")
-        return abs(int(value))
+                exponent = int(a)
+                if exponent >= 0:
+                    numerator *= j**exponent
+                else:
+                    denominator *= j**-exponent
+        value, remainder = divmod(numerator, denominator)
+        if remainder:
+            raise NonIntegralOrder(
+                f"torsion order {Fraction(numerator, denominator)} is not an integer"
+            )
+        return value
 
     def delta_eval(self, t: Fraction | int) -> Fraction:
         """Exact value of prod((t^j - 1)^a_j) at a rational point.
@@ -196,12 +197,17 @@ class CyclotomicDivisor:
             value *= factor ** int(a)
         return value
 
-    def integralized(self) -> CyclotomicDivisor:
-        """Assert every coefficient is an integer and return self."""
-        for j, a in self._terms.items():
-            if a.denominator != 1:
-                raise NonIntegralExpansion(f"coefficient of L{j} is {a}, not an integer")
-        return self
+
+def _integer_sum(terms: Iterable[tuple[Fraction, int]], what: str) -> int:
+    """sum(a * m) over exact rationals a and integer weights m, formed over
+    the common denominator; :class:`NonIntegralExpansion` unless integral."""
+    terms = list(terms)
+    denominator = lcm(*(a.denominator for a, _ in terms))
+    numerator = sum(a.numerator * m * (denominator // a.denominator) for a, m in terms)
+    total, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise NonIntegralExpansion(f"{what} {Fraction(numerator, denominator)} is not an integer")
+    return total
 
 
 def lambda_product(a: int, b: int) -> CyclotomicDivisor:
@@ -215,19 +221,34 @@ def expand_link_divisor(pairs: Iterable[tuple[int, int]]) -> CyclotomicDivisor:
     """Fully expand prod_i ((1/v_i) L_{u_i} - L_1) and assert integrality.
 
     ``pairs`` lists the reduced invariants (u_i, v_i) of a weight system, one
-    per variable.  Factors are multiplied left to right with term-map merging,
-    which keeps the term count small (indices are lcm's of the u_i).  A
-    fractional final coefficient signals an invalid weight system and raises
-    :class:`NonIntegralExpansion`; intermediate coefficients are allowed to be
-    fractional.
+    per variable.  The scaled factors L_{u_i} - v_i L_1 are multiplied left
+    to right over integer term maps (indices are lcm's of the u_i, which
+    keeps the term count small), and the product is divided once by
+    prod v_i.  A coefficient that does not divide signals an invalid weight
+    system and raises :class:`NonIntegralExpansion`.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("expected at least one (u, v) pair")
-    acc = CyclotomicDivisor.one()
+    acc = {1: 1}
+    scale = 1
     for u, v in pairs:
         if u < 1 or v < 1:
             raise ValueError(f"invalid reduced pair ({u}, {v})")
-        factor = CyclotomicDivisor.lam(u, Fraction(1, v)) - CyclotomicDivisor.one()
-        acc = acc * factor
-    return acc.integralized()
+        out: dict[int, int] = {}
+        for j, a in acc.items():
+            g = gcd(j, u)
+            m = j // g * u
+            out[m] = out.get(m, 0) + a * g
+            out[j] = out.get(j, 0) - a * v
+        acc = {j: a for j, a in out.items() if a}
+        scale *= v
+    terms = {}
+    for j, a in acc.items():
+        coefficient, remainder = divmod(a, scale)
+        if remainder:
+            raise NonIntegralExpansion(
+                f"coefficient of L{j} is {Fraction(a, scale)}, not an integer"
+            )
+        terms[j] = coefficient
+    return CyclotomicDivisor(terms)

@@ -14,6 +14,17 @@ cross-checked:
   inclusion-exclusion sums (the k-numbers): d_j is the product of every c
   whose k is at least j, and the torsion group is the direct sum of Z/d_j.
 
+The subset route is integer-only.  Subsets of the index set are bitmasks.
+One table holds D * f(T) for f(T) = prod u_T / (prod v_T * lcm u_T) over
+the common denominator D = prod v * lcm u, and one additive Mobius pass
+turns it into D times every inclusion-exclusion sum: the full set gives the
+Betti number, the odd-parity subsets give the k-numbers.  The c-numbers
+divide each complement gcd by the product of c over the proper submasks.
+The chain is emitted as runs: the subsets with c > 1 are grouped by floor(k),
+and each gap between consecutive floors is one factor with its multiplicity.
+The cost is O(3^n) for the c-numbers and O(n 2^n) for the rest; it does not
+depend on r = floor(max k), which grows like (d/w)^(n-1).
+
 The torsion recursion is a theorem for chain type, cycle type and iterated
 Thom-Sebastiani sums of these (hence for every invertible polynomial) and a
 conjecture otherwise; callers that care can check whether the weight system
@@ -24,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import floor, gcd, lcm
+from functools import lru_cache
+from itertools import combinations, repeat
+from math import gcd, lcm, prod
 from enum import Enum
 
 from .divisor import CyclotomicDivisor, expand_link_divisor
@@ -120,12 +132,57 @@ def milnor_number(ws: WeightSystem) -> int:
     Individual factors may be fractional; only the full product must be an
     integer, otherwise the data is not a valid link.
     """
-    value = Fraction(1)
+    numerator = denominator = 1
     for w in ws.weights:
-        value *= Fraction(ws.degree - w, w)
-    if value.denominator != 1:
-        raise NonIntegralMilnor(f"Milnor product {value} is not an integer for {ws}")
-    return int(value)
+        numerator *= ws.degree - w
+        denominator *= w
+    value, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise NonIntegralMilnor(
+            f"Milnor product {Fraction(numerator, denominator)} is not an integer for {ws}"
+        )
+    return value
+
+
+@lru_cache(maxsize=16)
+def _subset_order(n1: int) -> tuple[tuple[int, tuple[int, ...], bool], ...]:
+    """(bitmask, index tuple, odd parity of n1 - |S|) for every subset S of
+    range(n1), by size and then lexicographically."""
+    return tuple(
+        (sum(1 << i for i in subset), subset, (n1 - size) % 2 == 1)
+        for size in range(n1 + 1)
+        for subset in combinations(range(n1), size)
+    )
+
+
+def _subset_table(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[list[int], int]:
+    """D * sum_{T subset S} (-1)^(|S|-|T|) f(T) for every bitmask S, and D.
+
+    f(T) = prod u_T / (prod v_T * lcm u_T), with f(empty) = 1, and
+    D = prod v * lcm u, so every D * f(T) is an integer.  The table is
+    filled with T | {i} built from T, then one additive Mobius pass (one
+    subtraction per bit and mask) forms the signed subset sums.
+    """
+    size = 1 << len(u)
+    prod_v = 1
+    for vi in v:
+        prod_v *= vi
+    mixed = [prod_v] * size  # prod u_T * prod v outside T
+    lcm_u = [1] * size
+    for i, (ui, vi) in enumerate(zip(u, v)):
+        bit = 1 << i
+        for t in range(bit):
+            mixed[t | bit] = mixed[t] // vi * ui
+            lcm_u[t | bit] = lcm(lcm_u[t], ui)
+    lcm_all = lcm_u[-1]
+    table = [m * (lcm_all // l) for m, l in zip(mixed, lcm_u)]
+    bit = 1
+    while bit < size:
+        for base in range(bit, size, 2 * bit):
+            for s in range(base, base + bit):
+                table[s] -= table[s ^ bit]
+        bit <<= 1
+    return table, prod_v * lcm_all
 
 
 def betti_subset_sum(ws: WeightSystem) -> int:
@@ -133,25 +190,17 @@ def betti_subset_sum(ws: WeightSystem) -> int:
 
     Independent of the divisor ring: sums (-1)^(n+1-s) * prod(u)/ (prod(v) *
     lcm(u)) over all 2^(n+1) subsets, the empty subset contributing
-    (-1)^(n+1).
+    (-1)^(n+1).  The sum is the full-set entry of the integer subset table
+    over its common denominator.
     """
-    u, v = ws.reduced().u, ws.reduced().v
-    n1 = len(u)
-    total = Fraction(0)
-    for size in range(n1 + 1):
-        sign = (-1) ** (n1 - size)
-        for subset in combinations(range(n1), size):
-            num = 1
-            den = 1
-            for i in subset:
-                num *= u[i]
-                den *= v[i]
-            if subset:
-                den *= lcm(*(u[i] for i in subset))
-            total += sign * Fraction(num, den)
-    if total.denominator != 1:
-        raise NonIntegralMilnor(f"Betti subset sum {total} is not an integer")
-    return int(total)
+    red = ws.reduced()
+    table, denominator = _subset_table(red.u, red.v)
+    total, remainder = divmod(table[-1], denominator)
+    if remainder:
+        raise NonIntegralMilnor(
+            f"Betti subset sum {Fraction(table[-1], denominator)} is not an integer"
+        )
+    return total
 
 
 def betti(ws: WeightSystem) -> int:
@@ -169,72 +218,83 @@ def is_rational_homology_sphere(ws: WeightSystem) -> bool:
     return betti(ws) == 0
 
 
+_ZERO = Fraction(0)
+
+
 def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
     """Torsion coefficients of the middle homology via the subset recursion.
 
     c over the ordered subsets S of {0..n}: the gcd of the u_i *outside* S
     divided by the product of c over all proper subsets of S; the division
-    must be exact (:class:`NonIntegralC` otherwise).  k weights each subset
-    by the parity epsilon of n - |S| + 1 times the inclusion-exclusion sum
-    over its own subsets.  Unit coefficients are dropped from the returned
-    chain.
+    must be exact (:class:`NonIntegralC` otherwise, naming the first inexact
+    subset by size, then lexicographically).  k weights each subset by the
+    parity epsilon of n - |S| + 1 times the inclusion-exclusion sum over its
+    own subsets.  Unit coefficients are dropped from the returned chain.
+
+    Subsets are bitmasks and the arithmetic is integer: c by a walk over the
+    proper submasks of each subset (O(3^n)), D * k for every subset from one
+    Mobius pass of :func:`_subset_table` (O(n 2^n)), and floor(k) by integer
+    floor division by D (k >= j exactly when floor(k) >= j).  d_j is
+    constant between consecutive values of floor(k) over the subsets with
+    c > 1, so the chain is emitted as one (d_j, multiplicity) run per gap;
+    the cost does not depend on r.  Only the worksheet's k values are
+    rationals.
     """
     red = ws.reduced()
-    u, v = red.u, red.v
+    u = red.u
     n1 = len(u)
-    indices = range(n1)
-    subsets: list[tuple[int, ...]] = []
-    for size in range(n1 + 1):
-        subsets.extend(combinations(indices, size))
+    size = 1 << n1
+    full = size - 1
+    order = _subset_order(n1)
 
-    c: dict[tuple[int, ...], int] = {}
-    for subset in subsets:
-        outside = [u[i] for i in indices if i not in subset]
-        if not outside:
-            # full set: epsilon weight is 0, value never used
-            c[subset] = 1
-            continue
-        numerator = gcd(*outside)
+    gcd_u = [0] * size  # gcd of the u_i in each mask
+    for i, ui in enumerate(u):
+        bit = 1 << i
+        for t in range(bit):
+            gcd_u[t | bit] = gcd(gcd_u[t], ui)
+    c = [1] * size  # the full set keeps c = 1: its parity weight is 0
+    for mask, subset, _ in order[:-1]:
         denominator = 1
-        for size in range(len(subset)):
-            for proper in combinations(subset, size):
-                denominator *= c[proper]
+        sub = mask
+        while sub:
+            sub = (sub - 1) & mask
+            denominator *= c[sub]
+        numerator = gcd_u[full ^ mask]
         if numerator % denominator != 0:
             raise NonIntegralC(
                 f"c-recursion inexact at subset {subset} for {ws}: "
                 f"{numerator} / {denominator}"
             )
-        c[subset] = numerator // denominator
+        c[mask] = numerator // denominator
 
-    k: dict[tuple[int, ...], Fraction] = {}
-    for subset in subsets:
-        s = len(subset)
-        # epsilon_{n-s+1} with n = n1 - 1: zero for even n1 - s
-        if (n1 - s) % 2 == 0:
-            k[subset] = Fraction(0)
-            continue
-        total = Fraction(0)
-        for size in range(s + 1):
-            for sub in combinations(subset, size):
-                num = 1
-                den = 1
-                for i in sub:
-                    num *= u[i]
-                    den *= v[i]
-                den *= lcm(*(u[i] for i in sub)) if sub else 1
-                total += (-1) ** (s - size) * Fraction(num, den)
-        k[subset] = total
+    table, scale = _subset_table(u, red.v)
+    r = 0
+    by_floor: dict[int, int] = {}  # floor(k) -> product of the c > 1 with that floor
+    for mask, _, odd in order:
+        if odd:
+            level = table[mask] // scale
+            r = max(r, level)
+            if level >= 1 and c[mask] > 1:
+                by_floor[level] = by_floor.get(level, 1) * c[mask]
+    # d_j for j up to the lowest floor is the product of every group; each
+    # gap to the next floor is one run, after which that group drops out
+    chain: list[int] = []
+    d, previous = prod(by_floor.values()), 0
+    for level in sorted(by_floor):
+        chain += repeat(d, level - previous)
+        d //= by_floor[level]
+        previous = level
+    torsion = tuple(chain)
 
-    r = floor(max(k.values()))
-    torsion = []
-    for j in range(1, r + 1):
-        dj = 1
-        for subset in subsets:
-            if k[subset] >= j:
-                dj *= c[subset]
-        if dj > 1:
-            torsion.append(dj)
-    return TorsionWorksheet(c, k, r), tuple(torsion)
+    sheet = TorsionWorksheet(
+        c={subset: c[mask] for mask, subset, _ in order},
+        k={
+            subset: Fraction(table[mask], scale) if odd else _ZERO
+            for mask, subset, odd in order
+        },
+        r=r,
+    )
+    return sheet, torsion
 
 
 def homology_profile(ws: WeightSystem) -> HomologyProfile:

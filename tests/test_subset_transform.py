@@ -1,0 +1,79 @@
+"""The integer bitmask subset transform against the brute-force recursion."""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bhlink import WeightSystem, betti_subset_sum, homology_profile, orlik_torsion
+from bhlink.errors import BhlinkError
+
+from generators import random_weight_system
+from oracles import oracle_betti_subset_sum, oracle_torsion_chain, oracle_worksheet
+
+# the oracle scans j = 1..r over every subset; deeper systems are left to the
+# regression test below
+ORACLE_MAX_R = 20_000
+
+
+def outcome(fn, *args):
+    """The value, or the error type when the computation refuses the input."""
+    try:
+        return fn(*args)
+    except BhlinkError as exc:
+        return type(exc)
+
+
+def oracle_torsion(ws):
+    c, k, r = oracle_worksheet(ws)
+    return c, k, r, oracle_torsion_chain(c, k, r) if r <= ORACLE_MAX_R else None
+
+
+def package_torsion(ws):
+    sheet, torsion = orlik_torsion(ws)
+    return sheet.c, sheet.k, sheet.r, torsion
+
+
+def assert_matches_oracle(ws):
+    assert outcome(betti_subset_sum, ws) == outcome(oracle_betti_subset_sum, ws)
+    expected = outcome(oracle_torsion, ws)
+    got = outcome(package_torsion, ws)
+    if isinstance(expected, type) or isinstance(got, type):
+        assert got == expected
+        return
+    c, k, r, chain = expected
+    assert got[0] == c and list(got[0]) == list(c)
+    assert got[1] == k and list(got[1]) == list(k)
+    assert got[2] == r
+    if chain is not None:
+        assert got[3] == chain
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8))
+def test_subset_transform_matches_oracle_on_generated_systems(seed, n):
+    rng = random.Random(seed)
+    got = None
+    while got is None:
+        got = random_weight_system(rng, n=n)
+    assert_matches_oracle(got[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6), degree=st.integers(2, 48))
+def test_subset_transform_matches_oracle_on_raw_weights(data, n, degree):
+    # most raw data defines no link: the error types must agree as well
+    weights = data.draw(st.tuples(*[st.integers(1, degree - 1)] * n))
+    assert_matches_oracle(WeightSystem(weights, degree))
+
+
+@pytest.mark.parametrize("w, r", [(100, 960_597), (1000, 996_005_997)])
+def test_torsion_runs_do_not_scan_r(w, r):
+    # the chain is one Z_2 however deep the recursion: its cost must not
+    # grow with r
+    ws = WeightSystem((2, 2, 2, 2, w), 2 * w)
+    sheet, torsion = orlik_torsion(ws)
+    assert sheet.r == r
+    assert torsion == (2,)
+    assert homology_profile(ws).torsion == (2,)
