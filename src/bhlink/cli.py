@@ -10,15 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .duality import Verdict, bh_dual, chain_cycle_closed_forms, is_twin, pipeline, se_certificate
-from .errors import BhlinkError, CrossCheckFailed, NonIntegralC, NoSplit, PreconditionFailed
+from .duality import Verdict, checked_dual, is_twin, pipeline, se_certificate
+from .errors import BhlinkError, CrossCheckFailed, NonIntegralC
 from .fixture import ROWS, FixtureRow
 from .invariants import HomologyProfile, homology_profile
-from .polynomial import BlockKind, classify
+from .polynomial import classify
 from .representation import enumerate_representations, find_chain_cycle, has_invertible_representation
 from .weights import WeightSystem
 
@@ -42,14 +43,21 @@ BATCH_OUTPUT_COLUMNS = [
 
 def _torsion_json(profile: HomologyProfile) -> list[list[int]]:
     """(factor, multiplicity) pairs in decreasing factor order."""
-    out: list[list[int]] = []
-    for value in dict.fromkeys(profile.torsion):
-        out.append([value, profile.torsion.count(value)])
-    return out
+    return [[value, count] for value, count in profile.torsion_runs()]
 
 
 class _InputError(Exception):
     pass
+
+
+def _failure_exit(exc: Exception) -> int:
+    """Report an ``analyze``/``pipeline`` failure on stderr and pick its exit
+    code: 3 for a failed internal cross-check, 2 for invalid input."""
+    if isinstance(exc, (CrossCheckFailed, NonIntegralC)):
+        print(f"cross-check failure: {exc}", file=sys.stderr)
+        return 3
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -99,15 +107,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         ws = _build_system(_parse_weights(args.weights), args.degree)
         record = _analyze_record(ws)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CrossCheckFailed, NonIntegralC) as exc:
-        print(f"cross-check failure: {exc}", file=sys.stderr)
-        return 3
-    except BhlinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (_InputError, BhlinkError) as exc:
+        return _failure_exit(exc)
     if args.json:
         print(json.dumps(record, indent=2))
         return 0
@@ -129,15 +130,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     try:
         ws = _build_system(_parse_weights(args.weights), args.degree)
         reports = pipeline(ws)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CrossCheckFailed, NonIntegralC) as exc:
-        print(f"cross-check failure: {exc}", file=sys.stderr)
-        return 3
-    except BhlinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (_InputError, BhlinkError) as exc:
+        return _failure_exit(exc)
     if args.json:
         payload = []
         for rep in reports:
@@ -232,24 +226,31 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
         candidates.extend(reps)
         for chosen in candidates:
             try:
-                _, dual_ws = bh_dual(chosen)
-                dual_profile = homology_profile(dual_ws)
+                dual = checked_dual(chosen, ws)
+            except CrossCheckFailed:
+                raise  # a wrong dual is the row's error, not a reason to try the next
             except BhlinkError:
                 continue
             out.update(
                 {
-                    "dual_w": _serialize_weights(dual_ws.weights),
-                    "dual_d": str(dual_ws.degree),
-                    "dual_torsion": dual_profile.torsion_str(),
-                    "dual_mu": str(dual_profile.mu),
-                    "dual_se": se_certificate(dual_ws).verdict.value,
-                    "twin": str(is_twin(profile, dual_profile)).lower(),
+                    "dual_w": _serialize_weights(dual.weights.weights),
+                    "dual_d": str(dual.weights.degree),
+                    "dual_torsion": dual.profile.torsion_str(),
+                    "dual_mu": str(dual.profile.mu),
+                    "dual_se": se_certificate(dual.weights).verdict.value,
+                    "twin": str(is_twin(profile, dual.profile)).lower(),
                 }
             )
             break
     except (BhlinkError, ValueError, KeyError) as exc:
         out["error"] = f"{type(exc).__name__}: {exc}"
     return out
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -269,8 +270,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
             return 2
         records = list(reader)
 
-    if args.jobs > 1 and records:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a pool forks all its workers at once: never more than rows or CPUs
+    workers = min(args.jobs, len(records), _available_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(process_batch_row, records, chunksize=8))
     else:
         results = [process_batch_row(record) for record in records]
@@ -325,9 +328,8 @@ def verify_row(row: FixtureRow) -> tuple[bool, str]:
     """Check one golden row: transpose dual, closed forms, SE certification."""
     try:
         ws = WeightSystem(row.source, row.source_degree)
-        poly = find_chain_cycle(ws)
-        _, dual_ws = bh_dual(poly)
-        profile = homology_profile(dual_ws)
+        dual = checked_dual(find_chain_cycle(ws), ws)
+        dual_ws, profile = dual.weights, dual.profile
         problems = []
         if sorted(dual_ws.weights) != sorted(row.dual):
             problems.append(f"dual weights {sorted(dual_ws.weights)} != {sorted(row.dual)}")
@@ -339,24 +341,8 @@ def verify_row(row: FixtureRow) -> tuple[bool, str]:
             problems.append(f"dual torsion {profile.torsion} != {row.dual_torsion}")
         if profile.b3 != 0:
             problems.append(f"dual b3 {profile.b3} != 0")
-
-        chain = next(b for b in poly.blocks if b.kind is BlockKind.CHAIN)
-        cycle = next(b for b in poly.blocks if b.kind is BlockKind.CYCLE)
-        try:
-            split = ws.split((chain.variables, tuple(sorted(cycle.variables))))
-            prediction = chain_cycle_closed_forms(
-                split, tuple(poly.exponent_of(i) for i in range(5))
-            )
-            if (
-                sorted(prediction.weights) != sorted(row.dual)
-                or prediction.degree != row.dual_degree
-                or prediction.mu != row.dual_mu
-                or prediction.torsion != row.dual_torsion
-            ):
-                problems.append("closed forms disagree with the table")
-        except (NoSplit, PreconditionFailed) as exc:
-            problems.append(f"closed forms not applicable: {exc}")
-
+        if dual.skipped:
+            problems.append(f"closed forms not applicable: {dual.skipped}")
         if se_certificate(dual_ws).verdict is not Verdict.SASAKI_EINSTEIN:
             problems.append("dual not certified Sasaki-Einstein")
         if problems:

@@ -4,8 +4,9 @@ Transposing the exponent matrix of an invertible polynomial yields the dual
 polynomial; its weights solve the transposed weight equation.  For cycle,
 Fermat-cycle and cycle-cycle shapes the dual link keeps degree, Milnor number
 and homology (the dual is a *twin*); for chain-cycle shapes both the degree
-and the Milnor number change, and closed forms predict the whole dual profile
-from the (m2, m3) split:
+and the Milnor number change, and for index-one data (|w| = d + 1, the
+anticanonical hypersurfaces of the Johnson-Kollar list) closed forms predict
+the whole dual profile from the (m2, m3) split:
 
     dual degree (raw)   d (m2 - 1),
     dual Milnor number  ((m2 - 1)^2 / v1 + 1) (m3 - 1),
@@ -15,7 +16,9 @@ from the (m2, m3) split:
 
 with a1 the chain tail exponent and d = m2 m3 the *source* degree.  The raw
 dual weights may share a joint factor with the raw dual degree; profiles are
-compared after primitive normalization.
+compared after primitive normalization.  Off index one the forms are false
+(they give Z_25 for the chain-cycle dual of (25, 4, 25, 24, 76; 100), whose
+torsion is Z_25^2) and refuse the data.
 
 A link whose quotient orbifold is Fano (index I = |w| - d > 0) carries a
 positive Ricci curvature Sasaki metric; it is certified Sasaki-Einstein by
@@ -34,7 +37,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
+from typing import NamedTuple
 
 from .errors import (
     BhlinkError,
@@ -114,14 +118,21 @@ def chain_cycle_closed_forms(
     """Predicted dual of a chain-cycle polynomial from its split and exponents.
 
     ``exponents`` is indexed by variable (the diagonal of the exponent
-    matrix).  Preconditions, enforced exactly: the chain head carries m2 and
-    has v = 1, the tail exponent is (m2 - 1) / v1, and the cycle exponents
-    satisfy prod + 1 = m3 (the rational-homology-sphere condition for split
-    data).  The cycle orientation is recovered from the defining equations
+    matrix).  Preconditions, enforced exactly: the split weights have index
+    one (they sum to d + 1), the chain head carries m2 and has v = 1, the
+    tail exponent is (m2 - 1) / v1, and the cycle exponents satisfy
+    prod + 1 = m3 (the rational-homology-sphere condition for split data).
+    The cycle orientation is recovered from the defining equations
     e_i v_i + v_next = m3.
     """
     m2, m3, d = split.m2, split.m3, split.degree
     g3, g2 = split.group3, split.group2
+
+    weight_sum = m3 * sum(split.v[i] for i in g3) + m2 * sum(split.v[i] for i in g2)
+    if weight_sum != d + 1:
+        raise PreconditionFailed(
+            f"closed forms need index one: weight sum {weight_sum} != d + 1 = {d + 1}"
+        )
 
     heads = [i for i in g3 if split.v[i] == 1 and exponents[i] == m2]
     if not heads:
@@ -136,10 +147,7 @@ def chain_cycle_closed_forms(
             f"tail exponent {a1} != (m2 - 1)/v1 = ({m2} - 1)/{v1}"
         )
 
-    prod_cycle = 1
-    for i in g2:
-        prod_cycle *= exponents[i]
-    if prod_cycle + 1 != m3:
+    if prod(exponents[i] for i in g2) + 1 != m3:
         raise PreconditionFailed(
             f"cycle exponents {tuple(exponents[i] for i in g2)} do not satisfy prod + 1 = m3 = {m3}"
         )
@@ -241,23 +249,34 @@ class DualReport:
     error: str | None = None
 
 
-def _check_chain_cycle_closed_forms(
-    poly: InvertiblePolynomial,
-    ws: WeightSystem,
-    dual_ws: WeightSystem,
-    dual_profile: HomologyProfile,
-) -> None:
-    """Assert the closed forms reproduce the transposed dual where they apply."""
-    chain = next(b for b in poly.blocks if b.kind is BlockKind.CHAIN)
-    cycle = next(b for b in poly.blocks if b.kind is BlockKind.CYCLE)
-    if len(chain.variables) != 2 or len(cycle.variables) != 3:
-        return
+class CheckedDual(NamedTuple):
+    """A transposed dual and its profile; ``skipped`` says why no closed-form
+    comparison ran, and is None when it ran and passed."""
+
+    polynomial: InvertiblePolynomial
+    weights: WeightSystem
+    profile: HomologyProfile
+    skipped: str | None
+
+
+def checked_dual(poly: InvertiblePolynomial, ws: WeightSystem) -> CheckedDual:
+    """Transpose ``poly`` (a representation of ``ws``) and profile the dual.
+
+    This is the one place a dual is compared with the closed forms: for a
+    2-chain plus 3-cycle inside their hypotheses a disagreement raises
+    :class:`CrossCheckFailed`.
+    """
+    dual_poly, dual_ws = bh_dual(poly)
+    dual_profile = homology_profile(dual_ws)
+    blocks = {b.kind: b.variables for b in poly.blocks}
+    chain, cycle = blocks.get(BlockKind.CHAIN, ()), blocks.get(BlockKind.CYCLE, ())
+    if len(poly.blocks) != 2 or len(chain) != 2 or len(cycle) != 3:
+        return CheckedDual(dual_poly, dual_ws, dual_profile, "not a 2-chain plus 3-cycle")
     try:
-        split = ws.split((chain.variables, tuple(sorted(cycle.variables))))
-        exponents = tuple(poly.exponent_of(i) for i in range(5))
-        prediction = chain_cycle_closed_forms(split, exponents)
-    except (NoSplit, PreconditionFailed):
-        return  # outside the closed-form hypotheses; nothing to check
+        split = ws.split((chain, tuple(sorted(cycle))))
+        prediction = chain_cycle_closed_forms(split, tuple(map(poly.exponent_of, range(5))))
+    except (NoSplit, PreconditionFailed) as exc:
+        return CheckedDual(dual_poly, dual_ws, dual_profile, str(exc))
     if (
         sorted(prediction.weights) != sorted(dual_ws.weights)
         or prediction.degree != dual_ws.degree
@@ -271,14 +290,14 @@ def _check_chain_cycle_closed_forms(
             f"torsion={prediction.torsion}; computed ({dual_ws.weights}; {dual_ws.degree}), "
             f"mu={dual_profile.mu}, torsion={dual_profile.torsion}, b3={dual_profile.b3}"
         )
+    return CheckedDual(dual_poly, dual_ws, dual_profile, None)
 
 
 def pipeline(ws: WeightSystem) -> list[DualReport]:
     """Dual reports for every invertible representation of the data.
 
     Per-representation errors are folded into the report rather than aborting
-    the batch; chain-cycle representations are additionally checked against
-    the closed forms whenever the split hypotheses hold.
+    the batch; every dual goes through :func:`checked_dual`.
     """
     ws = ws.normalized()
     source_profile = homology_profile(ws)
@@ -286,21 +305,18 @@ def pipeline(ws: WeightSystem) -> list[DualReport]:
     reports: list[DualReport] = []
     for poly in enumerate_representations(ws):
         try:
-            dual_poly, dual_ws = bh_dual(poly)
-            dual_profile = homology_profile(dual_ws)
-            if classify(poly) == "Chain-Cycle":
-                _check_chain_cycle_closed_forms(poly, ws, dual_ws, dual_profile)
+            dual = checked_dual(poly, ws)
             reports.append(
                 DualReport(
                     source_polynomial=poly,
                     source_weights=ws,
                     source_profile=source_profile,
-                    dual_polynomial=dual_poly,
-                    dual_weights=dual_ws,
-                    dual_profile=dual_profile,
-                    twin=is_twin(source_profile, dual_profile),
+                    dual_polynomial=dual.polynomial,
+                    dual_weights=dual.weights,
+                    dual_profile=dual.profile,
+                    twin=is_twin(source_profile, dual.profile),
                     source_verdict=source_verdict,
-                    dual_verdict=se_certificate(dual_ws),
+                    dual_verdict=se_certificate(dual.weights),
                 )
             )
         except BhlinkError as exc:

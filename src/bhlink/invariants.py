@@ -36,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations, groupby, repeat
 from math import gcd, lcm, prod
 from enum import Enum
+from typing import Iterator
 
 from .divisor import CyclotomicDivisor, expand_link_divisor
 from .errors import (
@@ -83,20 +84,21 @@ class HomologyProfile:
     degree: int
 
     def torsion_order(self) -> int:
-        order = 1
-        for t in self.torsion:
-            order *= t
-        return order
+        return prod(self.torsion)
+
+    def torsion_runs(self) -> Iterator[tuple[int, int]]:
+        """(factor, multiplicity) runs in chain order; equal factors of a
+        divisor chain are adjacent, so each factor is one run."""
+        return ((value, len(list(run))) for value, run in groupby(self.torsion))
 
     def torsion_str(self) -> str:
         """Group notation, e.g. ``Z_90+Z_18^3``; ``1`` for the trivial group."""
         if not self.torsion:
             return "1"
-        parts = []
-        for value in dict.fromkeys(self.torsion):
-            count = self.torsion.count(value)
-            parts.append(f"Z_{value}" + (f"^{count}" if count > 1 else ""))
-        return "+".join(parts)
+        return "+".join(
+            f"Z_{value}" + (f"^{count}" if count > 1 else "")
+            for value, count in self.torsion_runs()
+        )
 
 
 @dataclass(frozen=True)
@@ -204,14 +206,8 @@ def betti_subset_sum(ws: WeightSystem) -> int:
 
 
 def betti(ws: WeightSystem) -> int:
-    """Middle Betti number, computed along both routes and asserted equal."""
-    from_divisor = link_divisor(ws).coefficient_sum()
-    from_subsets = betti_subset_sum(ws)
-    if from_divisor != from_subsets:
-        raise CrossCheckFailed(
-            f"betti mismatch for {ws}: divisor route {from_divisor}, subset route {from_subsets}"
-        )
-    return from_divisor
+    """Middle Betti number of the cross-checked :func:`homology_profile`."""
+    return homology_profile(ws).b3
 
 
 def is_rational_homology_sphere(ws: WeightSystem) -> bool:
@@ -317,17 +313,15 @@ def homology_profile(ws: WeightSystem) -> HomologyProfile:
             f"Milnor mismatch for {ws}: product {mu}, divisor root count {divisor.root_count()}"
         )
     _, torsion = orlik_torsion(ws)
+    profile = HomologyProfile(b3=b, torsion=torsion, mu=mu, degree=ws.degree)
     if b == 0:
         order = divisor.delta_order_at_one()
-        chain_order = 1
-        for t in torsion:
-            chain_order *= t
-        if chain_order != order:
+        if profile.torsion_order() != order:
             raise CrossCheckFailed(
-                f"torsion order mismatch for {ws}: subset recursion {chain_order}, "
-                f"|Delta(1)| = {order}"
+                f"torsion order mismatch for {ws}: subset recursion "
+                f"{profile.torsion_order()}, |Delta(1)| = {order}"
             )
-    return HomologyProfile(b3=b, torsion=torsion, mu=mu, degree=ws.degree)
+    return profile
 
 
 def alpha(split: SplitDecomposition) -> Fraction:

@@ -16,7 +16,7 @@ only; a reflected cycle is a different polynomial.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator
 
 from .errors import NoRepresentation
@@ -153,19 +153,10 @@ def find_chain_cycle(
     """
     if ws.n_vars != 5:
         raise NoRepresentation("chain-cycle search expects a five-variable system")
-    g3, g2 = list(grouping[0]), sorted(grouping[1])
-    candidates: list[InvertiblePolynomial] = []
-    for chain_order in permutations(g3):
-        chain = _chain_block(tuple(chain_order), ws)
-        if chain is None:
-            continue
-        for tail in permutations(g2[1:]):
-            cycle = _cycle_block((g2[0],) + tail, ws)
-            if cycle is None:
-                continue
-            poly = InvertiblePolynomial(5, (chain, cycle))
-            if not poly.validate():
-                candidates.append(poly)
+    chains = [b for b in _block_options(list(grouping[0]), ws) if b.kind is BlockKind.CHAIN]
+    cycles = [b for b in _block_options(sorted(grouping[1]), ws) if b.kind is BlockKind.CYCLE]
+    polys = (InvertiblePolynomial(5, blocks) for blocks in product(chains, cycles))
+    candidates = [poly for poly in polys if not poly.validate()]
     if not candidates:
         raise NoRepresentation(f"no chain-cycle representation for {ws}")
     return min(candidates, key=_exponent_tuple)

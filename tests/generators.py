@@ -135,6 +135,43 @@ def index_one_split_instances(
     return tuple(pool)
 
 
+@lru_cache(maxsize=None)
+def index_one_chain_cycles(max_exp: int = 9, max_tail: int = 80) -> tuple[Instance, ...]:
+    """Every index-one chain-cycle instance inside the closed-form hypotheses
+    in a parameter box.
+
+    The polynomial is x0^m2 + x0 x1^a1 + x2^a2 x3 + x3^a3 x4 + x4^a4 x2: the
+    cycle fixes m3 = a2 a3 a4 + 1 and the m2-group v's (a_i v_i + v_next =
+    m3), the chain head has v = 1 and the tail v1 = (m2 - 1) / a1.  Index
+    one, m3 (1 + v1) + m2 (v2 + v3 + v4) = m2 m3 + 1, then leaves one
+    candidate m2 per (cycle, a1).
+    """
+    pool: list[Instance] = []
+    for a2, a3, a4 in product(range(1, max_exp + 1), repeat=3):
+        m3 = a2 * a3 * a4 + 1
+        t = m3 - (a3 * a4 - a4 + 1) - (a4 * a2 - a2 + 1) - (a2 * a3 - a3 + 1)
+        for a1 in range(1, max_tail + 1):
+            numerator, denominator = m3 * (a1 - 1) - a1, a1 * t - m3
+            if denominator == 0 or numerator % denominator != 0:
+                continue
+            m2 = numerator // denominator
+            if m2 < 2 or gcd(m2, m3) != 1 or (m2 - 1) % a1 != 0:
+                continue
+            poly = InvertiblePolynomial(
+                5,
+                (
+                    Block(BlockKind.CHAIN, (0, 1), (m2, a1)),
+                    Block(BlockKind.CYCLE, (2, 3, 4), (a2, a3, a4)),
+                ),
+            )
+            if poly.validate():
+                continue
+            ws = solve_weights(poly)
+            assert ws.fano_index() == 1 and ws.degree == m2 * m3
+            pool.append((poly, ws))
+    return tuple(pool)
+
+
 def permute_instance(instance: Instance, perm: tuple[int, ...]) -> Instance:
     """Relabel variables through a permutation; same link, new coordinates."""
     poly, ws = instance

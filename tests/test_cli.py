@@ -1,11 +1,12 @@
 """Command-line surface: analyze, pipeline, batch, verify-table."""
 
 import csv
+import dataclasses
 import json
 
-
-
+from bhlink import WeightSystem, cli, duality, find_chain_cycle
 from bhlink.cli import main
+from bhlink.errors import PreconditionFailed
 from bhlink.fixture import ROWS
 
 
@@ -217,3 +218,83 @@ def test_verify_table_fixture_override_mismatch(tmp_path, capsys):
     assert main(["verify-table", "--fixture", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def _write_rows(path, systems):
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["w0", "w1", "w2", "w3", "w4", "d"])
+        for weights, degree in systems:
+            writer.writerow(list(weights) + [degree])
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, forks nothing."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_batch_pool_capped_by_rows_and_cpus(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
+    systems = [(row.source, row.source_degree) for row in ROWS[:6]]
+    serial = tmp_path / "serial.csv"
+    _write_rows(tmp_path / "six.csv", systems)
+    assert main(["batch", str(tmp_path / "six.csv"), str(serial)]) == 0
+    for rows, jobs, expected in ((1, 100000, []), (3, 100000, [3]), (6, 100000, [4]), (6, 2, [2])):
+        _RecordingPool.sizes.clear()
+        src, dst = tmp_path / f"in{rows}.csv", tmp_path / f"out{rows}.csv"
+        _write_rows(src, systems[:rows])
+        assert main(["batch", str(src), str(dst), "--jobs", str(jobs)]) == 0
+        assert _RecordingPool.sizes == expected, (rows, jobs)
+        if rows == 6:
+            assert dst.read_text() == serial.read_text()
+    capsys.readouterr()
+
+
+def test_injected_closed_form_disagreement_reaches_every_command(tmp_path, capsys, monkeypatch):
+    real = duality.chain_cycle_closed_forms
+
+    def wrong_torsion(split, exponents):
+        return dataclasses.replace(real(split, exponents), torsion=(2,))
+
+    monkeypatch.setattr(duality, "chain_cycle_closed_forms", wrong_torsion)
+    ws = WeightSystem((929, 1858, 2849, 63, 805), 6503)
+    chosen = find_chain_cycle(ws)
+    report = next(r for r in duality.pipeline(ws) if r.source_polynomial == chosen)
+    assert report.error.startswith("CrossCheckFailed")
+
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    _write_rows(src, [(ws.weights, ws.degree)])
+    assert main(["batch", str(src), str(dst), "--jobs", "1"]) == 0
+    with dst.open(newline="") as handle:
+        record = next(csv.DictReader(handle))
+    assert record["error"].startswith("CrossCheckFailed")
+    assert record["dual_w"] == ""
+
+    assert main(["verify-table"]) == 1
+    assert "CrossCheckFailed" in capsys.readouterr().out
+
+
+def test_verify_table_fails_rows_outside_the_closed_forms(capsys, monkeypatch):
+    def refuse(split, exponents):
+        raise PreconditionFailed("injected refusal")
+
+    monkeypatch.setattr(duality, "chain_cycle_closed_forms", refuse)
+    assert main(["verify-table"]) == 1
+    out = capsys.readouterr().out
+    assert "0/75 rows verified" in out
+    assert "closed forms not applicable: injected refusal" in out

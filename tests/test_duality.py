@@ -1,6 +1,8 @@
 """Transpose duals, closed forms, twins and Einstein certification."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bhlink import (
     Verdict,
@@ -16,8 +18,11 @@ from bhlink import (
     solve_weights,
     swap_twin,
 )
-from bhlink.errors import PreconditionFailed
+from bhlink.duality import checked_dual
+from bhlink.errors import BhlinkError, CrossCheckFailed, PreconditionFailed
+from bhlink.polynomial import Block, BlockKind, InvertiblePolynomial
 
+from generators import index_one_chain_cycles, permute_instance
 from test_polynomial import chain_cycle_881
 
 
@@ -239,3 +244,67 @@ def test_pipeline_whole_fixture():
                 assert r.dual_profile.b3 == 0
             elif label in ("Cycle", "BP-Cycle", "Cycle-Cycle"):
                 assert r.twin
+
+
+def test_closed_forms_need_index_one():
+    # index 54: the closed forms would predict Z_25, the dual has Z_25^2
+    ws = WeightSystem((25, 4, 25, 24, 76), 100)
+    split = ws.split(((0, 2), (1, 3, 4)))
+    with pytest.raises(PreconditionFailed, match="index one"):
+        chain_cycle_closed_forms(split, (4, 6, 3, 4, 1))
+
+
+def test_pipeline_chain_cycle_off_index_one():
+    reports = pipeline(WeightSystem((25, 4, 25, 24, 76), 100))
+    assert not any("CrossCheckFailed" in (r.error or "") for r in reports)
+    transposed = [
+        r for r in reports
+        if classify(r.source_polynomial) == "Chain-Cycle" and r.error is None
+    ]
+    assert len(transposed) == 2
+    for r in transposed:
+        assert r.dual_profile.b3 == 0
+        assert r.dual_profile.torsion == (25, 25)
+        assert r.dual_profile.mu == 240
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    instance=st.sampled_from(index_one_chain_cycles()),
+    perm=st.permutations(range(5)),
+)
+def test_closed_forms_match_transposed_dual_on_index_one(instance, perm):
+    poly, ws = permute_instance(instance, tuple(perm))
+    chain = next(b for b in poly.blocks if b.kind is BlockKind.CHAIN)
+    cycle = next(b for b in poly.blocks if b.kind is BlockKind.CYCLE)
+    prediction = chain_cycle_closed_forms(
+        ws.split((chain.variables, tuple(sorted(cycle.variables)))),
+        tuple(poly.exponent_of(i) for i in range(5)),
+    )
+    _, dual_ws = bh_dual(poly)
+    assert sorted(prediction.weights) == sorted(dual_ws.weights)
+    assert prediction.profile() == homology_profile(dual_ws)
+    assert checked_dual(poly, ws).skipped is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    chain=st.tuples(st.integers(2, 8), st.integers(1, 8)),
+    cycle=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    perm=st.permutations(range(5)),
+)
+def test_checked_dual_agrees_on_chain_cycle_data(chain, cycle, perm):
+    # raises CrossCheckFailed wherever the closed forms accept wrong data
+    poly = InvertiblePolynomial(
+        5, (Block(BlockKind.CHAIN, (0, 1), chain), Block(BlockKind.CYCLE, (2, 3, 4), cycle))
+    )
+    assume(not poly.validate())
+    try:
+        poly, ws = permute_instance((poly, solve_weights(poly)), tuple(perm))
+        dual = checked_dual(poly, ws)
+    except CrossCheckFailed:
+        raise
+    except BhlinkError:
+        assume(False)
+    if ws.fano_index() != 1:
+        assert dual.skipped is not None
