@@ -20,7 +20,8 @@ from .errors import BhlinkError, CrossCheckFailed, NonIntegralC
 from .fixture import ROWS, FixtureRow
 from .invariants import HomologyProfile, homology_profile
 from .polynomial import classify
-from .representation import enumerate_representations, find_chain_cycle, has_invertible_representation
+from .representation import enumerate_representations, find_chain_cycle, pick_chain_cycle
+from .representation import has_invertible_representation
 from .weights import WeightSystem
 
 BATCH_OUTPUT_COLUMNS = [
@@ -218,13 +219,7 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
         # report the chain-cycle dual when one exists (the shape whose dual
         # is genuinely new); otherwise the first representation with a
         # nondegenerate dual
-        candidates = []
-        try:
-            candidates.append(find_chain_cycle(ws))
-        except BhlinkError:
-            pass
-        candidates.extend(reps)
-        for chosen in candidates:
+        for chosen in filter(None, [pick_chain_cycle(reps), *reps]):
             try:
                 dual = checked_dual(chosen, ws)
             except CrossCheckFailed:

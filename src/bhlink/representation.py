@@ -1,23 +1,26 @@
 """Enumerate the invertible polynomials representing a given weight system.
 
-One data set (w; d) usually admits several polynomial shapes.  The search is
-exhaustive: every set partition of the variables, every role assignment
-(Fermat / chain / cycle), every linear order of a chain and cyclic order of a
-cycle.  Exponents are then forced by the weights,
+One data set (w; d) usually admits several polynomial shapes.  Exponents are
+forced by the weights,
 
     Fermat or chain head:  a = d / w,
     chain tail:            a_k = (d - w_prev) / w_k,
     cycle entry:           a_i = (d - w_next) / w_i,
 
-and a candidate survives iff all exponents are positive integers and the
-structural validation passes.  Cycle orders are enumerated up to rotation
-only; a reflected cycle is a different polynomial.
+so a chain steps i -> j, and a cycle j -> i, only where w_j | d - w_i.  One
+option table per system holds the blocks of every cell, indexed by the
+cell's variable bitmask: Fermat blocks on the singletons, chains and cycles
+from a depth-first walk along those steps (chains from each head with
+w | d and d / w >= 2, cycles pinned at their smallest variable; a reflected
+cycle is a different polynomial).  Set partitions are walked as bitmasks,
+the cell of the lowest remaining variable taken among the cells with
+options, and a candidate survives iff the structural validation passes.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
-from typing import Iterator
+from itertools import product
+from typing import Iterable, Iterator
 
 from .errors import NoRepresentation
 from .polynomial import Block, BlockKind, InvertiblePolynomial
@@ -26,90 +29,80 @@ from .weights import WeightSystem
 __all__ = ["enumerate_representations", "find_chain_cycle", "has_invertible_representation"]
 
 
-def _set_partitions(items: list[int]) -> Iterator[list[list[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in _set_partitions(rest):
-        for i in range(len(partition)):
-            yield partition[:i] + [[first] + partition[i]] + partition[i + 1 :]
-        yield [[first]] + partition
-
-
-def _chain_block(order: tuple[int, ...], ws: WeightSystem) -> Block | None:
+def _chain_block(order: tuple[int, ...], ws: WeightSystem) -> Block:
     d, w = ws.degree, ws.weights
-    head = order[0]
-    if d % w[head] != 0:
-        return None
-    exps = [d // w[head]]
-    if exps[0] < 2:
-        return None
-    for prev, cur in zip(order, order[1:]):
-        num = d - w[prev]
-        if num <= 0 or num % w[cur] != 0:
-            return None
-        exps.append(num // w[cur])
-    return Block(BlockKind.CHAIN, order, tuple(exps))
+    tail = [(d - w[prev]) // w[cur] for prev, cur in zip(order, order[1:])]
+    return Block(BlockKind.CHAIN, order, (d // w[order[0]], *tail))
 
 
-def _cycle_block(order: tuple[int, ...], ws: WeightSystem) -> Block | None:
+def _cycle_block(order: tuple[int, ...], ws: WeightSystem) -> Block:
     d, w = ws.degree, ws.weights
-    m = len(order)
-    exps = []
-    for k in range(m):
-        cur, nxt = order[k], order[(k + 1) % m]
-        num = d - w[nxt]
-        if num <= 0 or num % w[cur] != 0:
-            return None
-        exps.append(num // w[cur])
+    exps = [(d - w[nxt]) // w[cur] for cur, nxt in zip(order, order[1:] + order[:1])]
     return Block(BlockKind.CYCLE, order, tuple(exps))
 
 
 def _fermat_block(var: int, ws: WeightSystem) -> Block | None:
-    if ws.degree % ws.weights[var] != 0:
-        return None
-    a = ws.degree // ws.weights[var]
-    if a < 2:
-        return None
-    return Block(BlockKind.FERMAT, (var,), (a,))
+    a, r = divmod(ws.degree, ws.weights[var])
+    return Block(BlockKind.FERMAT, (var,), (a,)) if r == 0 and a >= 2 else None
 
 
-def _block_options(cell: list[int], ws: WeightSystem) -> list[Block]:
-    options: list[Block] = []
-    if len(cell) == 1:
-        b = _fermat_block(cell[0], ws)
-        return [b] if b else []
-    for order in permutations(cell):
-        b = _chain_block(tuple(order), ws)
-        if b:
-            options.append(b)
-    # rotations are the same cycle: pin the smallest variable first
-    smallest, rest = cell[0], cell[1:]
-    for tail in permutations(rest):
-        b = _cycle_block((smallest,) + tail, ws)
-        if b:
-            options.append(b)
-    return options
+def _mask(variables: Iterable[int]) -> int:
+    return sum(1 << v for v in set(variables))
+
+
+def _option_table(ws: WeightSystem) -> list[list[Block]]:
+    """Every Fermat, chain and cycle block of the system, indexed by the
+    bitmask of its variables; chains come before cycles in each cell."""
+    n, d, w = ws.n_vars, ws.degree, ws.weights
+    table: list[list[Block]] = [[] for _ in range(1 << n)]
+    # a chain may step i -> j, and a cycle j -> i, iff w_j | d - w_i
+    steps = [[j for j in range(n) if (d - w[i]) % w[j] == 0] for i in range(n)]
+    # a chain head is a variable with a Fermat block: w | d and d / w >= 2
+    fermat = [_fermat_block(v, ws) for v in range(n)]
+
+    def walk(path: tuple[int, ...], mask: int) -> None:
+        head, last = path[0], path[-1]
+        if len(path) > 1:
+            if fermat[head]:
+                table[mask].append(_chain_block(path, ws))
+            # read backwards from the head, a path that closes is a cycle
+            if head in steps[last] and head == min(path):
+                table[mask].append(_cycle_block(path[:1] + path[:0:-1], ws))
+        for nxt in steps[last]:
+            if not mask >> nxt & 1 and (fermat[head] or nxt > head):
+                walk(path + (nxt,), mask | 1 << nxt)
+
+    for v in range(n):
+        table[1 << v] = [fermat[v]] if fermat[v] else []
+        walk((v,), 1 << v)
+    for options in table:
+        options.sort(key=lambda b: b.kind is BlockKind.CYCLE)
+    return table
 
 
 def _iter_representations(ws: WeightSystem) -> Iterator[InvertiblePolynomial]:
     n = ws.n_vars
-    for partition in _set_partitions(list(range(n))):
-        per_cell = [_block_options(sorted(cell), ws) for cell in partition]
-        if any(not options for options in per_cell):
-            continue
+    table = _option_table(ws)
+    # the cells with options, grouped by their lowest variable; largest mask
+    # first (and chains first in each cell) puts a valid polynomial first on
+    # every benchmark system, so has_invertible_representation stops there
+    cells: list[list[int]] = [[] for _ in range(n)]
+    for mask in range((1 << n) - 1, 0, -1):
+        if table[mask]:
+            cells[(mask & -mask).bit_length() - 1].append(mask)
 
-        def assemble(i: int, chosen: list[Block]) -> Iterator[InvertiblePolynomial]:
-            if i == len(per_cell):
-                poly = InvertiblePolynomial(n, tuple(chosen))
-                if not poly.validate():
-                    yield poly
-                return
-            for block in per_cell[i]:
-                yield from assemble(i + 1, chosen + [block])
+    def assemble(rest: int, chosen: tuple[Block, ...]) -> Iterator[InvertiblePolynomial]:
+        if not rest:
+            poly = InvertiblePolynomial(n, chosen)
+            if not poly.validate():
+                yield poly
+            return
+        for cell in cells[(rest & -rest).bit_length() - 1]:
+            if cell & rest == cell:
+                for block in table[cell]:
+                    yield from assemble(rest ^ cell, chosen + (block,))
 
-        yield from assemble(0, [])
+    yield from assemble((1 << n) - 1, ())
 
 
 def enumerate_representations(ws: WeightSystem) -> list[InvertiblePolynomial]:
@@ -141,6 +134,18 @@ def _exponent_tuple(poly: InvertiblePolynomial) -> tuple[int, ...]:
     return tuple(poly.exponent_of(i) for i in range(poly.n_vars))
 
 
+def pick_chain_cycle(
+    polys: Iterable[InvertiblePolynomial],
+    grouping: tuple[tuple[int, int], tuple[int, int, int]] = ((0, 1), (2, 3, 4)),
+) -> InvertiblePolynomial | None:
+    """The polynomial whose blocks are exactly a chain on ``grouping[0]`` and
+    a cycle on ``grouping[1]`` with the smallest per-variable exponent tuple
+    (then the smallest canonical key), or None when there is none."""
+    shape = [(BlockKind.CHAIN, set(grouping[0])), (BlockKind.CYCLE, set(grouping[1]))]
+    matches = (p for p in polys if [(b.kind, set(b.variables)) for b in p.blocks] == shape)
+    return min(matches, key=lambda p: (_exponent_tuple(p), _canonical_key(p)), default=None)
+
+
 def find_chain_cycle(
     ws: WeightSystem,
     grouping: tuple[tuple[int, int], tuple[int, int, int]] = ((0, 1), (2, 3, 4)),
@@ -153,10 +158,11 @@ def find_chain_cycle(
     """
     if ws.n_vars != 5:
         raise NoRepresentation("chain-cycle search expects a five-variable system")
-    chains = [b for b in _block_options(list(grouping[0]), ws) if b.kind is BlockKind.CHAIN]
-    cycles = [b for b in _block_options(sorted(grouping[1]), ws) if b.kind is BlockKind.CYCLE]
+    table = _option_table(ws)
+    chains = [b for b in table[_mask(grouping[0])] if b.kind is BlockKind.CHAIN]
+    cycles = [b for b in table[_mask(grouping[1])] if b.kind is BlockKind.CYCLE]
     polys = (InvertiblePolynomial(5, blocks) for blocks in product(chains, cycles))
-    candidates = [poly for poly in polys if not poly.validate()]
-    if not candidates:
+    chosen = pick_chain_cycle((poly for poly in polys if not poly.validate()), grouping)
+    if chosen is None:
         raise NoRepresentation(f"no chain-cycle representation for {ws}")
-    return min(candidates, key=_exponent_tuple)
+    return chosen

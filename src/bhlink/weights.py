@@ -10,7 +10,6 @@ weights *and* degree by their joint gcd.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -165,35 +164,34 @@ def wellformed_space(weights: tuple[int, ...] | list[int]) -> bool:
 def solve_weights(poly: InvertiblePolynomial) -> WeightSystem:
     """The unique primitive positive solution of A.w = d.(1, ..., 1).
 
-    Solves the rational system with d = 1, clears denominators and divides
-    weights and degree by their joint gcd.  Raises :class:`SingularSystem`
-    when det A = 0 and :class:`NonPositiveWeights` when the ray has a
-    non-positive or degenerate entry.
+    Fraction-free Bareiss elimination of [A | 1] keeps every entry an
+    integer (each is a nonzero multiple of the Gauss entry, so the pivot
+    rows are the same); integer back-substitution then gives det A . A^-1 . 1,
+    the ray (w; d) up to sign and a joint gcd.  Raises
+    :class:`SingularSystem` when det A = 0 and :class:`NonPositiveWeights`
+    when the ray has a non-positive or degenerate entry.
     """
-    matrix = poly.exponent_matrix()
     n = poly.n_vars
-    rows = [[Fraction(x) for x in row] + [Fraction(1)] for row in matrix]
-
+    rows = [row + [1] for row in poly.exponent_matrix()]
+    det = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if pivot is None:
             raise SingularSystem("exponent matrix is singular")
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        pv = rows[col][col]
-        rows[col] = [x / pv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+        top = rows[col]
+        for row in rows[col + 1 :]:
+            factor = row[col]
+            row[col:] = [(x * top[col] - factor * y) // det for x, y in zip(row[col:], top[col:])]
+        det = top[col]
 
-    solution = [rows[r][n] for r in range(n)]
-    denominators = [x.denominator for x in solution] + [1]
-    scale = 1
-    for den in denominators:
-        scale = scale * den // gcd(scale, den)
-    ints = [int(x * scale) for x in solution] + [scale]
+    # the last pivot is +-det A; the triangle gives det . A^-1 . 1 exactly
+    ray = [0] * n
+    for r in range(n - 1, -1, -1):
+        rest = sum(rows[r][c] * ray[c] for c in range(r + 1, n))
+        ray[r] = (det * rows[r][n] - rest) // rows[r][r]
+    g = gcd(*ray, det) * (1 if det > 0 else -1)
+    ints = [x // g for x in ray + [det]]
     if any(x <= 0 for x in ints[:-1]):
         raise NonPositiveWeights(f"weight ray {ints[:-1]} has a non-positive entry")
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
     return WeightSystem(tuple(ints[:-1]), ints[-1])

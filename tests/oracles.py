@@ -8,17 +8,27 @@ Three brute-force models, deliberately disjoint from the package internals:
   prod (t^j - 1)^(a_j), realized by exact polynomial multiplication and
   exact division, then evaluated at rational points;
 * the torsion recursion and the subset Betti sum over index tuples in
-  Fraction arithmetic, with the chain read off by a scan over j = 1..r.
+  Fraction arithmetic, with the chain read off by a scan over j = 1..r;
+* the representation search as a scan over every set partition, every
+  linear order of a chain and every cyclic order of a cycle;
+* the weight solve as Gauss-Jordan elimination over Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import floor, gcd, lcm
 
 from bhlink.divisor import CyclotomicDivisor
-from bhlink.errors import NonIntegralC, NonIntegralMilnor
+from bhlink.errors import (
+    NoRepresentation,
+    NonIntegralC,
+    NonIntegralMilnor,
+    NonPositiveWeights,
+    SingularSystem,
+)
+from bhlink.polynomial import Block, BlockKind, InvertiblePolynomial
 from bhlink.weights import WeightSystem
 
 RootMultiset = dict[Fraction, Fraction]
@@ -183,3 +193,109 @@ def oracle_torsion_chain(c, k, r: int) -> tuple[int, ...]:
         if dj > 1:
             torsion.append(dj)
     return tuple(torsion)
+
+
+# ----- the representation search by permutation scan -------------------------
+# Every set partition of the variables, every role per cell, every linear
+# order of a chain and every cyclic order of a cycle (rotations pinned at the
+# smallest variable), as the package searched before its option table.
+
+
+def _set_partitions(items: list[int]):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1 :]
+        yield [[first]] + partition
+
+
+def _forced(d: int, w: tuple[int, ...], var: int, minus: int) -> int | None:
+    """The exponent a with a * w_var + minus = d, if a positive integer."""
+    num = d - minus
+    if num <= 0 or num % w[var] != 0:
+        return None
+    return num // w[var]
+
+
+def _block_options(cell: list[int], ws: WeightSystem) -> list[Block]:
+    d, w = ws.degree, ws.weights
+    options: list[Block] = []
+    if len(cell) == 1:
+        a = _forced(d, w, cell[0], 0)
+        return [Block(BlockKind.FERMAT, (cell[0],), (a,))] if a and a >= 2 else []
+    for order in permutations(cell):
+        exps = [_forced(d, w, order[0], 0)]
+        exps += [_forced(d, w, cur, w[prev]) for prev, cur in zip(order, order[1:])]
+        if all(exps) and exps[0] >= 2:
+            options.append(Block(BlockKind.CHAIN, order, tuple(exps)))
+    for tail in permutations(cell[1:]):
+        order = (cell[0],) + tail
+        exps = [_forced(d, w, cur, w[nxt]) for cur, nxt in zip(order, order[1:] + order[:1])]
+        if all(exps):
+            options.append(Block(BlockKind.CYCLE, order, tuple(exps)))
+    return options
+
+
+def _key(poly: InvertiblePolynomial):
+    return tuple((b.kind.value, b.variables, b.exponents) for b in poly.blocks)
+
+
+def oracle_representations(ws: WeightSystem) -> list[InvertiblePolynomial]:
+    """Every valid block polynomial of the data, sorted by the canonical key."""
+    found = set()
+    options: dict[tuple[int, ...], list[Block]] = {}
+    for partition in _set_partitions(list(range(ws.n_vars))):
+        cells = [tuple(sorted(cell)) for cell in partition]
+        for cell in cells:
+            if cell not in options:
+                options[cell] = _block_options(list(cell), ws)
+        for blocks in product(*(options[cell] for cell in cells)):
+            poly = InvertiblePolynomial(ws.n_vars, blocks)
+            if not poly.validate():
+                found.add(poly)
+    return sorted(found, key=_key)
+
+
+def oracle_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
+    """The 2-chain on (0, 1) plus 3-cycle on (2, 3, 4) with the smallest
+    per-variable exponent tuple, the first in scan order on a tie."""
+    if ws.n_vars != 5:
+        raise NoRepresentation("chain-cycle search expects a five-variable system")
+    chains = [b for b in _block_options([0, 1], ws) if b.kind is BlockKind.CHAIN]
+    cycles = [b for b in _block_options([2, 3, 4], ws) if b.kind is BlockKind.CYCLE]
+    polys = [InvertiblePolynomial(5, blocks) for blocks in product(chains, cycles)]
+    candidates = [poly for poly in polys if not poly.validate()]
+    if not candidates:
+        raise NoRepresentation(f"no chain-cycle representation for {ws}")
+    return min(candidates, key=lambda p: tuple(p.exponent_of(i) for i in range(5)))
+
+
+# ----- the weight solve over Fraction ----------------------------------------
+
+
+def oracle_solve_weights(poly: InvertiblePolynomial) -> WeightSystem:
+    """Gauss-Jordan elimination of [A | 1] over Fraction, denominators
+    cleared, weights and degree divided by their joint gcd."""
+    n = poly.n_vars
+    rows = [[Fraction(x) for x in row] + [Fraction(1)] for row in poly.exponent_matrix()]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            raise SingularSystem("exponent matrix is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        pv = rows[col][col]
+        rows[col] = [x / pv for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    solution = [rows[r][n] for r in range(n)]
+    scale = lcm(*(x.denominator for x in solution))
+    ints = [int(x * scale) for x in solution] + [scale]
+    if any(x <= 0 for x in ints[:-1]):
+        raise NonPositiveWeights(f"weight ray {ints[:-1]} has a non-positive entry")
+    g = gcd(*ints)
+    return WeightSystem(tuple(x // g for x in ints[:-1]), ints[-1] // g)

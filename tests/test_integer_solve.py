@@ -1,0 +1,79 @@
+"""The integer (Bareiss) weight solve against Gauss-Jordan over Fraction."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bhlink import WeightSystem, enumerate_representations, solve_weights
+from bhlink.errors import BhlinkError
+from bhlink.fixture import ROWS
+from bhlink.polynomial import Block, BlockKind, InvertiblePolynomial
+
+from generators import random_weight_system, theorem_population
+from oracles import oracle_solve_weights
+
+
+def outcome(fn, poly):
+    """The weight system, or the error type and message."""
+    try:
+        return fn(poly)
+    except BhlinkError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def block_polynomials(draw):
+    """Any block polynomial on 2-8 variables, valid or not: exponents 1 give
+    rays with zero or negative entries, even cycles are drawn with all ones
+    on the even or the odd positions often enough to be singular, and one
+    draw in four admits exponents down to -2 (a negative determinant)."""
+    n = draw(st.integers(2, 8))
+    low = draw(st.sampled_from([1, 1, 1, -2]))
+    order = draw(st.permutations(range(n)))
+    blocks, i = [], 0
+    while i < n:
+        size = draw(st.integers(1, min(4, n - i)))
+        cell, i = tuple(order[i : i + size]), i + size
+        exps = draw(st.lists(st.integers(low, 6), min_size=size, max_size=size))
+        if size == 1:
+            blocks.append(Block(BlockKind.FERMAT, cell, tuple(exps)))
+        elif draw(st.booleans()):
+            blocks.append(Block(BlockKind.CHAIN, cell, tuple(exps)))
+        else:
+            if size % 2 == 0 and draw(st.booleans()):
+                exps[draw(st.integers(0, 1)) :: 2] = [1] * (size // 2)
+            blocks.append(Block(BlockKind.CYCLE, cell, tuple(exps)))
+    return InvertiblePolynomial(n, tuple(blocks))
+
+
+@settings(max_examples=400, deadline=None)
+@given(poly=block_polynomials())
+def test_solve_matches_fraction_oracle(poly):
+    assert outcome(solve_weights, poly) == outcome(oracle_solve_weights, poly)
+
+
+def _corpus_systems():
+    """The benchmark corpora at seed 1, in unpermuted coordinates: the golden
+    sources, the 925 survey draws and the 425-instance duals sample."""
+    systems = [WeightSystem(row.source, row.source_degree) for row in ROWS]
+    draws, drawn = random.Random(1), 0
+    while drawn < 925:
+        found = random_weight_system(draws)
+        if found is not None:
+            systems.append(found[1])
+            drawn += 1
+    systems += [ws for _, ws in random.Random(1).sample(theorem_population(), 425)]
+    return list(dict.fromkeys(systems))
+
+
+def test_solve_matches_fraction_oracle_on_corpus_duals():
+    outcomes = set()
+    for ws in _corpus_systems():
+        for poly in enumerate_representations(ws):
+            dual = poly.transpose()
+            got = outcome(solve_weights, dual)
+            assert got == outcome(oracle_solve_weights, dual)
+            outcomes.add(type(got) if isinstance(got, tuple) else WeightSystem)
+    # the corpora reach both the solved and the refused branch
+    assert len(outcomes) > 1
