@@ -30,7 +30,6 @@ from .errors import (
     NonIntegralMilnor,
     NonIntegralOrder,
     NonPositiveWeights,
-    NotInvertibleShape,
     PoleAtT,
     PreconditionFailed,
     SingularSystem,
@@ -51,7 +50,7 @@ from .invariants import (
     milnor_number,
     orlik_torsion,
 )
-from .polynomial import Block, BlockKind, InvertiblePolynomial, classify, from_exponent_matrix
+from .polynomial import Block, BlockKind, InvertiblePolynomial, classify
 from .representation import enumerate_representations, find_chain_cycle, has_invertible_representation
 from .weights import (
     ReducedWeights,

@@ -253,7 +253,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if not path.exists():
         print(f"error: no such file {path}", file=sys.stderr)
         return 2
-    with path.open(newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark a spreadsheet export may start with
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         required = ["w0", "w1", "w2", "w3", "w4", "d"]
@@ -303,11 +304,24 @@ def _parse_torsion(text: str) -> tuple[int, ...]:
     return tuple(chain)
 
 
+_FIXTURE_COLUMNS = (
+    [f"w{i}" for i in range(5)] + [f"tw{i}" for i in range(5)] + ["dual_d", "dual_mu", "dual_torsion"]
+)
+
+
 def _load_fixture_csv(path: Path) -> list[FixtureRow]:
-    rows = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        for record in csv.DictReader(handle):
-            rows.append(
+    """Read a golden-table CSV; :class:`_InputError` on a missing file, a
+    header without the fixture columns or a field that does not parse."""
+    if not path.is_file():
+        raise _InputError(f"no such file {path}")
+    with path.open(newline="", encoding="utf-8-sig") as handle:
+        reader = csv.DictReader(handle, restval="")
+        header = reader.fieldnames or []
+        missing = [column for column in _FIXTURE_COLUMNS if column not in header]
+        if missing:
+            raise _InputError(f"malformed fixture header {header}, missing {missing}")
+        try:
+            return [
                 FixtureRow(
                     source=tuple(int(record[f"w{i}"]) for i in range(5)),
                     dual=tuple(int(record[f"tw{i}"]) for i in range(5)),
@@ -315,8 +329,10 @@ def _load_fixture_csv(path: Path) -> list[FixtureRow]:
                     dual_mu=int(record["dual_mu"]),
                     dual_torsion=_parse_torsion(record["dual_torsion"]),
                 )
-            )
-    return rows
+                for record in reader
+            ]
+        except ValueError as exc:
+            raise _InputError(f"malformed fixture row {reader.line_num}: {exc}")
 
 
 def verify_row(row: FixtureRow) -> tuple[bool, str]:
@@ -351,7 +367,11 @@ def verify_row(row: FixtureRow) -> tuple[bool, str]:
 
 
 def cmd_verify_table(args: argparse.Namespace) -> int:
-    rows = _load_fixture_csv(Path(args.fixture)) if args.fixture else list(ROWS)
+    try:
+        rows = _load_fixture_csv(Path(args.fixture)) if args.fixture else list(ROWS)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     passed = 0
     for row in rows:
         ok, detail = verify_row(row)

@@ -14,8 +14,9 @@ fully expanded product
     prod_i ( (1/v_i) L_{u_i}  -  L_1 ),
 
 whose coefficients are guaranteed integral for valid data even though the
-intermediate 1/v_i factors are genuinely fractional.  From the expanded
-divisor sum(a_j L_j) one reads off:
+intermediate 1/v_i factors are genuinely fractional (the expansion runs over
+the scaled factors L_{u_i} - v_i L_1 and divides once at the end).  From the
+expanded divisor sum(a_j L_j) one reads off:
 
 * ``coefficient_sum``  sum(a_j)       = middle Betti number of the link,
 * ``root_count``       sum(a_j * j)   = Milnor number,
@@ -23,8 +24,9 @@ divisor sum(a_j L_j) one reads off:
   Betti number vanishes,
 * ``delta_eval``       exact rational value of prod((t^j - 1)^a_j).
 
-All coefficients are exact rationals; integers are arbitrary precision.
-Divisors are immutable values, so every operation is safe under concurrency.
+All coefficients are integers, not rationals, of arbitrary precision; only
+``delta_eval`` returns an exact rational.  Divisors are immutable values, so
+every operation is safe under concurrency.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ __all__ = [
 
 
 class CyclotomicDivisor:
-    """A finite combination sum(a_j L_j) with rational coefficients.
+    """A finite combination sum(a_j L_j) with integer coefficients.
 
     Only nonzero coefficients are stored; the zero divisor has an empty term
     map.  Addition is componentwise and multiplication is the bilinear
@@ -53,15 +55,17 @@ class CyclotomicDivisor:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Fraction | int] | None = None):
-        clean: dict[int, Fraction] = {}
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        clean: dict[int, int] = {}
         if terms:
             for j, a in terms.items():
                 if j < 1:
                     raise ValueError(f"divisor index must be >= 1, got {j}")
-                a = Fraction(a)
+                # ints, and integral values such as Fraction(4, 2), are kept as int
+                if getattr(a, "denominator", None) != 1:
+                    raise ValueError(f"coefficient of L{j} must be an integer, got {a!r}")
                 if a != 0:
-                    clean[int(j)] = a
+                    clean[int(j)] = int(a)
         self._terms = clean
 
     @classmethod
@@ -69,7 +73,7 @@ class CyclotomicDivisor:
         return cls()
 
     @classmethod
-    def lam(cls, n: int, coeff: Fraction | int = 1) -> CyclotomicDivisor:
+    def lam(cls, n: int, coeff: int = 1) -> CyclotomicDivisor:
         """The divisor coeff * L_n."""
         return cls({n: coeff})
 
@@ -79,19 +83,15 @@ class CyclotomicDivisor:
         return cls({1: 1})
 
     @property
-    def terms(self) -> dict[int, Fraction]:
+    def terms(self) -> dict[int, int]:
         return dict(self._terms)
 
-    def coefficient(self, j: int) -> Fraction:
-        return self._terms.get(j, Fraction(0))
+    def coefficient(self, j: int) -> int:
+        return self._terms.get(j, 0)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self._terms.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclotomicDivisor):
@@ -104,7 +104,7 @@ class CyclotomicDivisor:
     def __add__(self, other: CyclotomicDivisor) -> CyclotomicDivisor:
         out = dict(self._terms)
         for j, a in other._terms.items():
-            out[j] = out.get(j, Fraction(0)) + a
+            out[j] = out.get(j, 0) + a
         return CyclotomicDivisor(out)
 
     def __sub__(self, other: CyclotomicDivisor) -> CyclotomicDivisor:
@@ -113,14 +113,16 @@ class CyclotomicDivisor:
     def __neg__(self) -> CyclotomicDivisor:
         return CyclotomicDivisor({j: -a for j, a in self._terms.items()})
 
-    def __mul__(self, other: CyclotomicDivisor | int | Fraction) -> CyclotomicDivisor:
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: CyclotomicDivisor | int) -> CyclotomicDivisor:
+        if isinstance(other, int):
             return CyclotomicDivisor({j: a * other for j, a in self._terms.items()})
-        out: dict[int, Fraction] = {}
+        if not isinstance(other, CyclotomicDivisor):
+            return NotImplemented
+        out: dict[int, int] = {}
         for j1, a1 in self._terms.items():
             for j2, a2 in other._terms.items():
                 j = lcm(j1, j2)
-                out[j] = out.get(j, Fraction(0)) + a1 * a2 * gcd(j1, j2)
+                out[j] = out.get(j, 0) + a1 * a2 * gcd(j1, j2)
         return CyclotomicDivisor(out)
 
     __rmul__ = __mul__
@@ -128,23 +130,20 @@ class CyclotomicDivisor:
     def __repr__(self) -> str:
         if not self._terms:
             return "CyclotomicDivisor(0)"
-        parts = []
-        for j in sorted(self._terms):
-            a = self._terms[j]
-            parts.append(f"{a}*L{j}" if a.denominator != 1 else f"{int(a):+d}*L{j}")
-        return f"CyclotomicDivisor({' '.join(parts)})"
+        parts = " ".join(f"{self._terms[j]:+d}*L{j}" for j in sorted(self._terms))
+        return f"CyclotomicDivisor({parts})"
 
     # ----- link invariants -------------------------------------------------
 
     def coefficient_sum(self) -> int:
         """sum(a_j): the multiplicity of the root t = 1, i.e. the middle Betti
         number when this is an expanded link divisor."""
-        return _integer_sum(((a, 1) for a in self._terms.values()), "coefficient sum")
+        return sum(self._terms.values())
 
     def root_count(self) -> int:
         """sum(a_j * j): the total root multiplicity, i.e. the degree of the
         characteristic polynomial (the Milnor number for a link divisor)."""
-        return _integer_sum(((a, j) for j, a in self._terms.items()), "root count")
+        return sum(a * j for j, a in self._terms.items())
 
     def delta_order_at_one(self) -> int:
         """|Delta(1)| as an exact integer, or 0 when t = 1 is a root.
@@ -158,11 +157,10 @@ class CyclotomicDivisor:
         numerator = denominator = 1
         for j, a in self._terms.items():
             if j >= 2:
-                exponent = int(a)
-                if exponent >= 0:
-                    numerator *= j**exponent
+                if a >= 0:
+                    numerator *= j**a
                 else:
-                    denominator *= j**-exponent
+                    denominator *= j**-a
         value, remainder = divmod(numerator, denominator)
         if remainder:
             raise NonIntegralOrder(
@@ -180,13 +178,11 @@ class CyclotomicDivisor:
         0, and if it is negative the point is a pole.
         """
         t = Fraction(t)
-        if not self.is_integral:
-            raise NonIntegralExpansion("divisor must be integral before evaluation")
 
         def vanishes(j: int) -> bool:
             return t == 1 or (t == -1 and j % 2 == 0)
 
-        net = sum(int(a) for j, a in self._terms.items() if vanishes(j))
+        net = sum(a for j, a in self._terms.items() if vanishes(j))
         if net > 0:
             return Fraction(0)
         if net < 0:
@@ -194,20 +190,8 @@ class CyclotomicDivisor:
         value = Fraction(1)
         for j, a in self._terms.items():
             factor = j * t ** (j - 1) if vanishes(j) else t**j - 1
-            value *= factor ** int(a)
+            value *= factor**a
         return value
-
-
-def _integer_sum(terms: Iterable[tuple[Fraction, int]], what: str) -> int:
-    """sum(a * m) over exact rationals a and integer weights m, formed over
-    the common denominator; :class:`NonIntegralExpansion` unless integral."""
-    terms = list(terms)
-    denominator = lcm(*(a.denominator for a, _ in terms))
-    numerator = sum(a.numerator * m * (denominator // a.denominator) for a, m in terms)
-    total, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise NonIntegralExpansion(f"{what} {Fraction(numerator, denominator)} is not an integer")
-    return total
 
 
 def lambda_product(a: int, b: int) -> CyclotomicDivisor:

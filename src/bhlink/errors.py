@@ -28,10 +28,6 @@ class PoleAtT(BhlinkError):
     """A factor with negative net exponent vanishes at the evaluation point."""
 
 
-class NotInvertibleShape(BhlinkError):
-    """A matrix does not decompose into Fermat, chain and cycle blocks."""
-
-
 class NonPositiveWeights(BhlinkError):
     """The weight solution of an exponent matrix has a non-positive entry."""
 

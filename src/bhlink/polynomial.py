@@ -22,13 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NotInvertibleShape
-
 __all__ = [
     "BlockKind",
     "Block",
     "InvertiblePolynomial",
-    "from_exponent_matrix",
     "classify",
 ]
 
@@ -177,11 +174,13 @@ class InvertiblePolynomial:
         return m
 
     def transpose(self) -> InvertiblePolynomial:
-        """The polynomial of the transposed exponent matrix (an involution)."""
-        m = self.exponent_matrix()
-        n = self.n_vars
-        mt = [[m[c][r] for c in range(n)] for r in range(n)]
-        return from_exponent_matrix(mt)
+        """The polynomial of the transposed exponent matrix (an involution).
+
+        Block by block: chains and cycles reverse their variable order, each
+        exponent staying on its variable; a Fermat block reversed is itself.
+        """
+        blocks = (Block(b.kind, b.variables[::-1], b.exponents[::-1]) for b in self.blocks)
+        return InvertiblePolynomial(self.n_vars, tuple(blocks))
 
     def exponent_of(self, variable: int) -> int:
         """The block exponent carried by one variable (its diagonal entry)."""
@@ -208,133 +207,6 @@ class InvertiblePolynomial:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def _resolve_owners(rows: list[list[tuple[int, int]]], n: int) -> list[int] | None:
-    """Assign to each matrix row the variable it owns (backtracking search).
-
-    Rows with two exponent-1 entries are ambiguous; every variable must own
-    exactly one row for the matrix to decompose.
-    """
-    owner = [-1] * len(rows)
-    used = [False] * n
-
-    def candidates(entries: list[tuple[int, int]]) -> list[int]:
-        if len(entries) == 1:
-            return [entries[0][0]]
-        (c1, e1), (c2, e2) = entries
-        opts = []
-        if e2 == 1:
-            opts.append(c1)
-        if e1 == 1 and c2 not in opts:
-            opts.append(c2)
-        return opts
-
-    def place(r: int) -> bool:
-        if r == len(rows):
-            return True
-        for c in candidates(rows[r]):
-            if not used[c]:
-                owner[r], used[c] = c, True
-                if place(r + 1):
-                    return True
-                owner[r], used[c] = -1, False
-        return False
-
-    return owner if place(0) else None
-
-
-def from_exponent_matrix(matrix: Matrix) -> InvertiblePolynomial:
-    """Recover the unique block decomposition of a valid exponent matrix.
-
-    Raises :class:`NotInvertibleShape` when a row has more than two nonzero
-    entries, an off-diagonal entry exceeds 1, the determinant vanishes, or
-    the pointer graph between monomials is not a disjoint union of paths and
-    cycles.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise NotInvertibleShape("matrix is not square")
-    rows: list[list[tuple[int, int]]] = []
-    for row in matrix:
-        entries = [(c, e) for c, e in enumerate(row) if e != 0]
-        if any(e < 0 for _, e in entries):
-            raise NotInvertibleShape("negative exponent")
-        if not 1 <= len(entries) <= 2:
-            raise NotInvertibleShape(
-                f"row {row} has {len(entries)} nonzero entries, expected 1 or 2"
-            )
-        rows.append(entries)
-    if len(rows) != n:
-        raise NotInvertibleShape("row/variable count mismatch")
-
-    owner = _resolve_owners(rows, n)
-    if owner is None:
-        raise NotInvertibleShape("no consistent owner assignment for the rows")
-
-    # pointer graph: owner -> the other variable of its row (if any)
-    points_to: dict[int, int] = {}
-    exp_of: dict[int, int] = {}
-    for r, entries in enumerate(rows):
-        o = owner[r]
-        exp_of[o] = dict(entries)[o]
-        rest = [c for c, _ in entries if c != o]
-        if rest:
-            if dict(entries)[rest[0]] != 1:
-                raise NotInvertibleShape("off-diagonal exponent exceeds 1")
-            points_to[o] = rest[0]
-
-    indegree = {v: 0 for v in range(n)}
-    for tgt in points_to.values():
-        indegree[tgt] += 1
-        if indegree[tgt] > 1:
-            raise NotInvertibleShape("pointer graph is not a union of paths and cycles")
-
-    blocks: list[Block] = []
-    visited: set[int] = set()
-    for start in range(n):
-        if start in visited or start in points_to:
-            continue
-        # start owns a pure row: Fermat if nothing points at it, chain head otherwise
-        chain = [start]
-        cur = start
-        while True:
-            prev = [v for v, t in points_to.items() if t == cur and v not in visited and v != cur]
-            nxt = [v for v in prev if v not in chain]
-            if not nxt:
-                break
-            chain.append(nxt[0])
-            cur = nxt[0]
-        visited.update(chain)
-        if len(chain) == 1:
-            blocks.append(Block(BlockKind.FERMAT, (start,), (exp_of[start],)))
-        else:
-            blocks.append(
-                Block(BlockKind.CHAIN, tuple(chain), tuple(exp_of[v] for v in chain))
-            )
-    # remaining variables sit on directed cycles
-    for start in range(n):
-        if start in visited:
-            continue
-        cyc = [start]
-        cur = points_to.get(start)
-        while cur is not None and cur != start:
-            if cur in visited or cur in cyc:
-                raise NotInvertibleShape("pointer graph is not a union of paths and cycles")
-            cyc.append(cur)
-            cur = points_to.get(cur)
-        if cur != start:
-            raise NotInvertibleShape("pointer graph is not a union of paths and cycles")
-        visited.update(cyc)
-        blocks.append(Block(BlockKind.CYCLE, tuple(cyc), tuple(exp_of[v] for v in cyc)))
-
-    poly = InvertiblePolynomial(n, tuple(blocks))
-    det = 1
-    for b in poly.blocks:
-        det *= b.determinant()
-    if det == 0:
-        raise NotInvertibleShape("singular exponent matrix")
-    return poly
 
 
 def classify(poly: InvertiblePolynomial) -> str:

@@ -108,10 +108,11 @@ def _iter_representations(ws: WeightSystem) -> Iterator[InvertiblePolynomial]:
 def enumerate_representations(ws: WeightSystem) -> list[InvertiblePolynomial]:
     """All invertible polynomials P with exponent_matrix(P) . w = d . 1.
 
-    The result is duplicate-free and sorted by a canonical key, so the output
-    order is deterministic.  An empty list is a valid answer.
+    Sorted by a canonical key, so the output order is deterministic; the walk
+    yields no duplicates (set partitions are distinct bitmasks and a cell
+    lists each block once).  An empty list is a valid answer.
     """
-    return sorted(set(_iter_representations(ws)), key=_canonical_key)
+    return sorted(_iter_representations(ws), key=_canonical_key)
 
 
 def has_invertible_representation(ws: WeightSystem) -> bool:

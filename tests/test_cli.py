@@ -220,6 +220,42 @@ def test_verify_table_fixture_override_mismatch(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_table_missing_fixture_exit_2(tmp_path, capsys):
+    # exit 1 means a table mismatch; an unreadable fixture is invalid input
+    assert main(["verify-table", "--fixture", str(tmp_path / "absent.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: no such file")
+    assert captured.out == ""
+
+
+def test_verify_table_fixture_without_columns_exit_2(tmp_path, capsys):
+    path = tmp_path / "fixture.csv"
+    path.write_text("w0,w1,w2,w3,w4,d\n73,73,95,45,80,365\n")
+    assert main(["verify-table", "--fixture", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed fixture header")
+    assert "tw0" in captured.err and "dual_torsion" in captured.err
+    assert captured.out == ""
+    # a field that does not parse is invalid input too, not a mismatch
+    path.write_text(
+        "w0,w1,w2,w3,w4,tw0,tw1,tw2,tw3,tw4,dual_d,dual_mu,dual_torsion\n"
+        "73,73,95,45,x,219,365,420,200,260,1460,1224,Z_73\n"
+    )
+    assert main(["verify-table", "--fixture", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed fixture row 2")
+
+
+def test_batch_accepts_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    _write_rows(plain, [(row.source, row.source_degree) for row in ROWS[:3]])
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["batch", str(plain), str(a)]) == 0
+    assert main(["batch", str(marked), str(b)]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+
+
 def _write_rows(path, systems):
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)

@@ -49,6 +49,15 @@ def test_multiply_zero_and_unit():
     assert x * L(1) == x
 
 
+def test_coefficients_are_integers():
+    assert CyclotomicDivisor({3: Fraction(4, 2)}).terms == {3: 2}
+    assert type(CyclotomicDivisor({3: Fraction(4, 2)}).coefficient(3)) is int
+    with pytest.raises(ValueError, match="L6"):
+        CyclotomicDivisor({1: 1, 6: Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        L(2) * Fraction(1, 2)
+
+
 def _random_divisor(rng):
     return CyclotomicDivisor(
         {rng.randint(1, 18): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}

@@ -72,6 +72,7 @@ def test_solve_matches_fraction_oracle_on_corpus_duals():
     for ws in _corpus_systems():
         for poly in enumerate_representations(ws):
             dual = poly.transpose()
+            assert dual.exponent_matrix() == [list(c) for c in zip(*poly.exponent_matrix())]
             got = outcome(solve_weights, dual)
             assert got == outcome(oracle_solve_weights, dual)
             outcomes.add(type(got) if isinstance(got, tuple) else WeightSystem)

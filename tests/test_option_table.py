@@ -14,7 +14,7 @@ from bhlink import (
 )
 from bhlink.errors import NoRepresentation
 from bhlink.polynomial import InvertiblePolynomial
-from bhlink.representation import _option_table, pick_chain_cycle
+from bhlink.representation import _iter_representations, _option_table, pick_chain_cycle
 
 from generators import random_weight_system
 from oracles import oracle_chain_cycle, oracle_representations
@@ -43,6 +43,9 @@ def assert_matches_oracle(ws):
     expected = oracle_representations(ws)
     reps = enumerate_representations(ws)
     assert reps == expected
+    # the walk never yields a polynomial twice, so enumeration needs no set
+    yielded = list(_iter_representations(ws))
+    assert len(yielded) == len(set(yielded))
     # every block once: a cycle is not listed again under another rotation
     assert all(len(set(options)) == len(options) for options in _option_table(ws))
     assert has_invertible_representation(ws) == bool(expected)

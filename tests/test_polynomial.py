@@ -1,9 +1,6 @@
 """Block decompositions, exponent matrices, transposition, validation."""
 
-import pytest
-
-from bhlink import InvertiblePolynomial, classify, from_exponent_matrix
-from bhlink.errors import NotInvertibleShape
+from bhlink import InvertiblePolynomial, classify
 from bhlink.polynomial import (
     Block,
     BlockKind,
@@ -61,41 +58,6 @@ def test_exponent_matrix_bp_chain():
     assert str(poly) == "z0^7 + z1^3 + z2^7 + z2*z3^10 + z3*z4^3"
 
 
-def test_from_exponent_matrix_recovers_blocks():
-    poly = from_exponent_matrix(DUAL_881_MATRIX)
-    kinds = {b.kind for b in poly.blocks}
-    assert kinds == {BlockKind.CHAIN, BlockKind.CYCLE}
-    chain = next(b for b in poly.blocks if b.kind is BlockKind.CHAIN)
-    cycle = next(b for b in poly.blocks if b.kind is BlockKind.CYCLE)
-    assert set(chain.variables) == {0, 1}
-    assert set(cycle.variables) == {2, 3, 4}
-    # per-variable exponents survive the reconstruction
-    assert {v: e for v, e in zip(chain.variables, chain.exponents)} == {0: 3, 1: 2}
-    assert {v: e for v, e in zip(cycle.variables, cycle.exponents)} == {2: 5, 3: 22, 4: 8}
-
-
-def test_from_exponent_matrix_fermats():
-    poly = from_exponent_matrix([[2 if i == j else 0 for j in range(5)] for i in range(5)])
-    assert all(b.kind is BlockKind.FERMAT for b in poly.blocks)
-    assert len(poly.blocks) == 5
-
-
-def test_from_exponent_matrix_rejects_three_entry_row():
-    bad = [[2, 1, 1], [0, 2, 0], [0, 0, 2]]
-    with pytest.raises(NotInvertibleShape):
-        from_exponent_matrix(bad)
-
-
-def test_from_exponent_matrix_rejects_singular():
-    with pytest.raises(NotInvertibleShape):
-        from_exponent_matrix([[1, 1], [1, 1]])
-
-
-def test_roundtrip_matrix_to_blocks():
-    poly = chain_cycle_881()
-    assert from_exponent_matrix(poly.exponent_matrix()) == poly
-
-
 def test_classify():
     assert classify(chain_cycle_881()) == "Chain-Cycle"
     bp_cycle = InvertiblePolynomial(
@@ -151,6 +113,59 @@ def test_transpose_reverses_chain_and_cycle_orientation():
     assert succ_dual == {b: a for a, b in succ_src.items()}
 
 
+def transposed(matrix):
+    return [list(column) for column in zip(*matrix)]
+
+
+def test_transpose_chain_with_tail_exponent_one():
+    # z0^4 + z1^3 + z3*z2 + z1*z3^2 + z4^2: the dual chain starts at the
+    # old tail, whose exponent-1 row becomes the pure monomial z2
+    poly = InvertiblePolynomial(
+        5,
+        (
+            Block(BlockKind.FERMAT, (0,), (4,)),
+            Block(BlockKind.CHAIN, (1, 3, 2), (3, 2, 1)),
+            Block(BlockKind.FERMAT, (4,), (2,)),
+        ),
+    )
+    assert poly.validate() == []
+    dual = poly.transpose()
+    assert dual == InvertiblePolynomial(
+        5,
+        (
+            Block(BlockKind.FERMAT, (0,), (4,)),
+            Block(BlockKind.CHAIN, (2, 3, 1), (1, 2, 3)),
+            Block(BlockKind.FERMAT, (4,), (2,)),
+        ),
+    )
+    assert str(dual) == "z0^4 + z3*z1^3 + z2 + z2*z3^2 + z4^2"
+    assert dual.exponent_matrix() == transposed(poly.exponent_matrix())
+    assert dual.transpose() == poly
+
+
+def test_transpose_cycle_with_exponent_one():
+    # the cycle 0 -> 2 -> 1 -> 0 has the monomial z2*z0; its dual
+    # 0 -> 1 -> 2 -> 0 has z1*z0, where either variable could own the row
+    poly = InvertiblePolynomial(
+        5,
+        (
+            Block(BlockKind.CYCLE, (0, 2, 1), (1, 4, 3)),
+            Block(BlockKind.CHAIN, (3, 4), (2, 5)),
+        ),
+    )
+    assert poly.validate() == []
+    dual = poly.transpose()
+    assert dual == InvertiblePolynomial(
+        5,
+        (
+            Block(BlockKind.CYCLE, (0, 1, 2), (1, 3, 4)),
+            Block(BlockKind.CHAIN, (4, 3), (5, 2)),
+        ),
+    )
+    assert dual.exponent_matrix() == transposed(poly.exponent_matrix())
+    assert dual.transpose() == poly
+
+
 def test_validate_clean():
     assert chain_cycle_881().validate() == []
 
@@ -180,13 +195,13 @@ def test_matrix_roundtrip_and_involution_fuzz():
 
     rng = random.Random(13)
     done = 0
-    while done < 250:
-        n = rng.choice((5, 5, 5, 6, 7))
-        poly = random_invertible(rng, n=n)
+    while done < 500:
+        n = rng.randint(2, 8)
+        # max_exp 2 one time in three: exponent-1 entries become frequent
+        poly = random_invertible(rng, n=n, max_exp=rng.choice((2, 3, 6)))
         if poly is None:
             continue
         done += 1
-        assert from_exponent_matrix(poly.exponent_matrix()) == poly
         assert poly.transpose().transpose() == poly
         # the transpose really is the matrix transpose
         m = poly.exponent_matrix()
