@@ -7,7 +7,7 @@ representations, applies the Berglund-Hubsch transpose to produce dual links,
 detects twins and certifies Sasaki-Einstein metrics via the index inequality.
 """
 
-from .divisor import CyclotomicDivisor, expand_link_divisor, lambda_product
+from .divisor import CyclotomicDivisor, expand_link_divisor
 from .duality import (
     ClosedFormPrediction,
     DualReport,
@@ -38,14 +38,9 @@ from .invariants import (
     DiffeoType,
     HomologyProfile,
     TorsionWorksheet,
-    alpha,
-    beta,
-    betti,
     betti_subset_sum,
     branched_cover,
-    coprime_profile,
     homology_profile,
-    is_rational_homology_sphere,
     link_divisor,
     milnor_number,
     orlik_torsion,

@@ -250,7 +250,7 @@ def _available_cpus() -> int:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    if not path.exists():
+    if not path.is_file():
         print(f"error: no such file {path}", file=sys.stderr)
         return 2
     # utf-8-sig drops the byte-order mark a spreadsheet export may start with
@@ -265,18 +265,24 @@ def cmd_batch(args: argparse.Namespace) -> int:
             )
             return 2
         records = list(reader)
+    # open the output before any row is computed, so a bad path fails fast
+    try:
+        output = Path(args.output).open("w", newline="", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return 2
 
-    # a pool forks all its workers at once: never more than rows or CPUs
-    workers = min(args.jobs, len(records), _available_cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(process_batch_row, records, chunksize=8))
-    else:
-        results = [process_batch_row(record) for record in records]
+    with output:
+        # a pool forks all its workers at once: never more than rows or CPUs
+        workers = min(args.jobs, len(records), _available_cpus())
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(process_batch_row, records, chunksize=8))
+        else:
+            results = [process_batch_row(record) for record in records]
 
-    out_columns = list(header) + [c for c in BATCH_OUTPUT_COLUMNS if c not in header]
-    with Path(args.output).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=out_columns)
+        out_columns = list(header) + [c for c in BATCH_OUTPUT_COLUMNS if c not in header]
+        writer = csv.DictWriter(output, fieldnames=out_columns)
         writer.writeheader()
         for row in results:
             writer.writerow(row)
@@ -418,7 +424,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (say, piped into head); point it at devnull
+        # so the flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from .errors import NonIntegralExpansion, NonIntegralOrder, PoleAtT
 
 __all__ = [
     "CyclotomicDivisor",
-    "lambda_product",
     "expand_link_divisor",
 ]
 
@@ -192,13 +191,6 @@ class CyclotomicDivisor:
             factor = j * t ** (j - 1) if vanishes(j) else t**j - 1
             value *= factor**a
         return value
-
-
-def lambda_product(a: int, b: int) -> CyclotomicDivisor:
-    """gcd(a, b) * L_{lcm(a, b)}, the product of the generators L_a and L_b."""
-    if a < 1 or b < 1:
-        raise ValueError("generator indices must be positive")
-    return CyclotomicDivisor.lam(lcm(a, b), gcd(a, b))
 
 
 def expand_link_divisor(pairs: Iterable[tuple[int, int]]) -> CyclotomicDivisor:

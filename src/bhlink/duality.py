@@ -26,16 +26,15 @@ the sufficient inequality
 
     I * d < (n / (n - 1)) * min_{i<j} (w_i w_j),
 
-an exact rational comparison (4/3 for the five-variable, 7-dimensional case).
-Failure of the inequality never certifies a negative: the verdict is then
-only "positive Ricci".
+compared exactly in integers once the denominator n - 1 is cleared (4/3 for
+the five-variable, 7-dimensional case).  Failure of the inequality never
+certifies a negative: the verdict is then only "positive Ricci".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 from typing import NamedTuple
@@ -79,11 +78,18 @@ class SasakiVerdict:
 
 
 def se_certificate(ws: WeightSystem) -> SasakiVerdict:
-    """Apply the index inequality; sufficient only, never a negative claim."""
+    """Apply the index inequality; sufficient only, never a negative claim.
+
+    I d < (n / (n - 1)) min w_i w_j is compared in integers as
+    (n - 1) I d < n min w_i w_j; two-variable data (n = 1) has no inequality
+    and raises :class:`PreconditionFailed`.
+    """
     index = ws.fano_index()
     n = ws.n_vars - 1
+    if n < 2:
+        raise PreconditionFailed(f"the index inequality needs at least three variables: {ws}")
     min_pair = min(a * b for a, b in combinations(ws.weights, 2))
-    holds = Fraction(index * ws.degree) < Fraction(n, n - 1) * min_pair
+    holds = (n - 1) * index * ws.degree < n * min_pair
     if index <= 0:
         return SasakiVerdict(False, holds, Verdict.NOT_FANO)
     if holds:

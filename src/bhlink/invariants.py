@@ -18,8 +18,11 @@ The subset route is integer-only.  Subsets of the index set are bitmasks.
 One table holds D * f(T) for f(T) = prod u_T / (prod v_T * lcm u_T) over
 the common denominator D = prod v * lcm u, and one additive Mobius pass
 turns it into D times every inclusion-exclusion sum: the full set gives the
-Betti number, the odd-parity subsets give the k-numbers.  The c-numbers
-divide each complement gcd by the product of c over the proper submasks.
+Betti number, the odd-parity subsets give the k-numbers.  A profile reduces
+its weights once and builds this table once; the subset sum and the torsion
+recursion both read it.  The c-numbers divide each complement gcd by the
+product of c over the proper submasks, and the torsion worksheet keeps the
+integer arrays c and D * k, indexed by bitmask.
 The chain is emitted as runs: the subsets with c > 1 are grouped by floor(k),
 and each gap between consecutive floors is one factor with its multiplicity.
 The cost is O(3^n) for the c-numbers and O(n 2^n) for the rest; it does not
@@ -49,7 +52,7 @@ from .errors import (
     PoleAtT,
     PreconditionFailed,
 )
-from .weights import SplitDecomposition, WeightSystem
+from .weights import ReducedWeights, WeightSystem
 
 __all__ = [
     "HomologyProfile",
@@ -57,14 +60,9 @@ __all__ = [
     "DiffeoType",
     "link_divisor",
     "milnor_number",
-    "betti",
     "betti_subset_sum",
     "orlik_torsion",
     "homology_profile",
-    "is_rational_homology_sphere",
-    "alpha",
-    "beta",
-    "coprime_profile",
     "branched_cover",
 ]
 
@@ -103,16 +101,19 @@ class HomologyProfile:
 
 @dataclass(frozen=True)
 class TorsionWorksheet:
-    """The c / k numbers of the torsion recursion, keyed by index subsets.
+    """The c / k numbers of the torsion recursion, indexed by subset bitmask.
 
-    ``c`` values are positive integers (the recursion divisions are asserted
-    exact), ``k`` values are exact rationals, ``r`` = floor(max k).  The full
-    index set has no complement gcd; its parity weight is 0 so it never
-    enters any d_j, and its c is recorded as 1.
+    Bit i of a mask stands for index i.  ``c`` values are positive integers
+    (the recursion divisions are asserted exact).  ``scaled_k`` holds
+    ``scale * k``, so k(S) = scaled_k[S] / scale exactly; k is 0 on the
+    subsets of parity weight 0.  ``r`` = floor(max k).  The full index set
+    has no complement gcd; its parity weight is 0 so it never enters any
+    d_j, and its c is recorded as 1.
     """
 
-    c: dict[tuple[int, ...], int]
-    k: dict[tuple[int, ...], Fraction]
+    c: tuple[int, ...]
+    scaled_k: tuple[int, ...]
+    scale: int
     r: int
 
 
@@ -125,7 +126,7 @@ class DiffeoType(str, Enum):
 
 def link_divisor(ws: WeightSystem) -> CyclotomicDivisor:
     """The fully expanded divisor of the link's characteristic polynomial."""
-    return expand_link_divisor(ws.reduced().pairs())
+    return expand_link_divisor(_reduced(ws).pairs())
 
 
 def milnor_number(ws: WeightSystem) -> int:
@@ -146,24 +147,34 @@ def milnor_number(ws: WeightSystem) -> int:
     return value
 
 
+@lru_cache(maxsize=1)
+def _reduced(ws: WeightSystem) -> ReducedWeights:
+    """The reduced invariants of the last system asked for: the divisor, the
+    subset sum and the torsion recursion of one profile share one reduction."""
+    return ws.reduced()
+
+
 @lru_cache(maxsize=16)
-def _subset_order(n1: int) -> tuple[tuple[int, tuple[int, ...], bool], ...]:
-    """(bitmask, index tuple, odd parity of n1 - |S|) for every subset S of
-    range(n1), by size and then lexicographically."""
+def _proper_masks(n1: int) -> tuple[int, ...]:
+    """The bitmask of every proper subset of range(n1), by size and then
+    lexicographically: the order in which the c-recursion names its first
+    inexact subset."""
     return tuple(
-        (sum(1 << i for i in subset), subset, (n1 - size) % 2 == 1)
-        for size in range(n1 + 1)
+        sum(1 << i for i in subset)
+        for size in range(n1)
         for subset in combinations(range(n1), size)
     )
 
 
-def _subset_table(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[list[int], int]:
+@lru_cache(maxsize=1)
+def _subset_table(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """D * sum_{T subset S} (-1)^(|S|-|T|) f(T) for every bitmask S, and D.
 
     f(T) = prod u_T / (prod v_T * lcm u_T), with f(empty) = 1, and
     D = prod v * lcm u, so every D * f(T) is an integer.  The table is
     filled with T | {i} built from T, then one additive Mobius pass (one
-    subtraction per bit and mask) forms the signed subset sums.
+    subtraction per bit and mask) forms the signed subset sums.  The last
+    table is kept: both routes of one profile read the same one.
     """
     size = 1 << len(u)
     prod_v = 1
@@ -184,7 +195,7 @@ def _subset_table(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[list[int], in
             for s in range(base, base + bit):
                 table[s] -= table[s ^ bit]
         bit <<= 1
-    return table, prod_v * lcm_all
+    return tuple(table), prod_v * lcm_all
 
 
 def betti_subset_sum(ws: WeightSystem) -> int:
@@ -195,7 +206,7 @@ def betti_subset_sum(ws: WeightSystem) -> int:
     (-1)^(n+1).  The sum is the full-set entry of the integer subset table
     over its common denominator.
     """
-    red = ws.reduced()
+    red = _reduced(ws)
     table, denominator = _subset_table(red.u, red.v)
     total, remainder = divmod(table[-1], denominator)
     if remainder:
@@ -203,18 +214,6 @@ def betti_subset_sum(ws: WeightSystem) -> int:
             f"Betti subset sum {Fraction(table[-1], denominator)} is not an integer"
         )
     return total
-
-
-def betti(ws: WeightSystem) -> int:
-    """Middle Betti number of the cross-checked :func:`homology_profile`."""
-    return homology_profile(ws).b3
-
-
-def is_rational_homology_sphere(ws: WeightSystem) -> bool:
-    return betti(ws) == 0
-
-
-_ZERO = Fraction(0)
 
 
 def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
@@ -228,20 +227,18 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
     own subsets.  Unit coefficients are dropped from the returned chain.
 
     Subsets are bitmasks and the arithmetic is integer: c by a walk over the
-    proper submasks of each subset (O(3^n)), D * k for every subset from one
-    Mobius pass of :func:`_subset_table` (O(n 2^n)), and floor(k) by integer
+    proper submasks of each subset (O(3^n)), D * k for every subset from
+    the entries of :func:`_subset_table` (O(n 2^n)), and floor(k) by integer
     floor division by D (k >= j exactly when floor(k) >= j).  d_j is
     constant between consecutive values of floor(k) over the subsets with
     c > 1, so the chain is emitted as one (d_j, multiplicity) run per gap;
-    the cost does not depend on r.  Only the worksheet's k values are
-    rationals.
+    the cost does not depend on r.
     """
-    red = ws.reduced()
+    red = _reduced(ws)
     u = red.u
     n1 = len(u)
     size = 1 << n1
     full = size - 1
-    order = _subset_order(n1)
 
     gcd_u = [0] * size  # gcd of the u_i in each mask
     for i, ui in enumerate(u):
@@ -249,7 +246,7 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
         for t in range(bit):
             gcd_u[t | bit] = gcd(gcd_u[t], ui)
     c = [1] * size  # the full set keeps c = 1: its parity weight is 0
-    for mask, subset, _ in order[:-1]:
+    for mask in _proper_masks(n1):
         denominator = 1
         sub = mask
         while sub:
@@ -257,6 +254,7 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
             denominator *= c[sub]
         numerator = gcd_u[full ^ mask]
         if numerator % denominator != 0:
+            subset = tuple(i for i in range(n1) if mask >> i & 1)
             raise NonIntegralC(
                 f"c-recursion inexact at subset {subset} for {ws}: "
                 f"{numerator} / {denominator}"
@@ -264,14 +262,15 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
         c[mask] = numerator // denominator
 
     table, scale = _subset_table(u, red.v)
-    r = 0
+    # the parity weight of S is 1 when n1 - |S| is odd and 0 otherwise
+    scaled_k = tuple(
+        entry if (n1 - mask.bit_count()) & 1 else 0 for mask, entry in enumerate(table)
+    )
     by_floor: dict[int, int] = {}  # floor(k) -> product of the c > 1 with that floor
-    for mask, _, odd in order:
-        if odd:
-            level = table[mask] // scale
-            r = max(r, level)
-            if level >= 1 and c[mask] > 1:
-                by_floor[level] = by_floor.get(level, 1) * c[mask]
+    for c_mask, k_mask in zip(c, scaled_k):
+        if c_mask > 1 and k_mask >= scale:
+            level = k_mask // scale
+            by_floor[level] = by_floor.get(level, 1) * c_mask
     # d_j for j up to the lowest floor is the product of every group; each
     # gap to the next floor is one run, after which that group drops out
     chain: list[int] = []
@@ -280,17 +279,9 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
         chain += repeat(d, level - previous)
         d //= by_floor[level]
         previous = level
-    torsion = tuple(chain)
 
-    sheet = TorsionWorksheet(
-        c={subset: c[mask] for mask, subset, _ in order},
-        k={
-            subset: Fraction(table[mask], scale) if odd else _ZERO
-            for mask, subset, odd in order
-        },
-        r=r,
-    )
-    return sheet, torsion
+    sheet = TorsionWorksheet(c=tuple(c), scaled_k=scaled_k, scale=scale, r=max(scaled_k) // scale)
+    return sheet, tuple(chain)
 
 
 def homology_profile(ws: WeightSystem) -> HomologyProfile:
@@ -298,7 +289,10 @@ def homology_profile(ws: WeightSystem) -> HomologyProfile:
 
     Cross-checks on every call: the product-formula Milnor number equals the
     divisor root count, and for rational homology spheres the product of the
-    torsion coefficients equals |Delta(1)|.
+    torsion coefficients equals |Delta(1)|.  When every gcd(d, w_i) = 1 each
+    u_i is d, so the divisor is s L_1 + x L_d with s = (-1)^(n+1), and
+    mu - s = d (b - s): mu + 1 = d (b + 1) for an odd number of variables,
+    mu - 1 = d (b - 1) for an even one.
     """
     divisor = link_divisor(ws)
     b = divisor.coefficient_sum()
@@ -312,6 +306,13 @@ def homology_profile(ws: WeightSystem) -> HomologyProfile:
         raise CrossCheckFailed(
             f"Milnor mismatch for {ws}: product {mu}, divisor root count {divisor.root_count()}"
         )
+    if all(gcd(ws.degree, w) == 1 for w in ws.weights):
+        s = -1 if ws.n_vars % 2 else 1
+        if mu - s != ws.degree * (b - s):
+            raise CrossCheckFailed(
+                f"coprime identity mu - s = d (b - s), s = {s}, fails for {ws}: "
+                f"mu = {mu}, b3 = {b}"
+            )
     _, torsion = orlik_torsion(ws)
     profile = HomologyProfile(b3=b, torsion=torsion, mu=mu, degree=ws.degree)
     if b == 0:
@@ -320,48 +321,6 @@ def homology_profile(ws: WeightSystem) -> HomologyProfile:
             raise CrossCheckFailed(
                 f"torsion order mismatch for {ws}: subset recursion "
                 f"{profile.torsion_order()}, |Delta(1)| = {order}"
-            )
-    return profile
-
-
-def alpha(split: SplitDecomposition) -> Fraction:
-    """m2/(v0 v1) - 1/v0 - 1/v1 on the m3 group; the torsion exponent is
-    alpha + 1 for the rational-homology-sphere split cases."""
-    i, j = split.group3
-    v0, v1 = split.v[i], split.v[j]
-    return Fraction(split.m2, v0 * v1) - Fraction(1, v0) - Fraction(1, v1)
-
-
-def beta(split: SplitDecomposition) -> Fraction:
-    """The quadratic expression in m3 and the m2-group v's; equals 1 exactly
-    when the link of the split data is a rational homology sphere."""
-    a, b_, c_ = (split.v[i] for i in split.group2)
-    m3 = split.m3
-    numerator = m3 * m3 - (a + b_ + c_) * m3 + (a * b_ + a * c_ + b_ * c_)
-    return Fraction(numerator, a * b_ * c_)
-
-
-def coprime_profile(ws: WeightSystem) -> HomologyProfile:
-    """Closed form for systems with gcd(d, w_i) = 1 for every i.
-
-    Such links satisfy mu + 1 = d (b + 1); when the link is a rational
-    homology sphere the torsion is a single Z_d and mu = d - 1.  The closed
-    form is asserted against the general computation and the general profile
-    is returned.
-    """
-    if any(gcd(ws.degree, w) != 1 for w in ws.weights):
-        raise PreconditionFailed(f"gcd(d, w_i) != 1 for some weight of {ws}")
-    profile = homology_profile(ws)
-    if profile.mu + 1 != ws.degree * (profile.b3 + 1):
-        raise CrossCheckFailed(
-            f"coprime identity mu + 1 = d(b+1) fails for {ws}: "
-            f"{profile.mu + 1} != {ws.degree} * {profile.b3 + 1}"
-        )
-    if profile.b3 == 0:
-        expected = (ws.degree,) if ws.degree > 1 else ()
-        if profile.torsion != expected or profile.mu != ws.degree - 1:
-            raise CrossCheckFailed(
-                f"coprime closed form disagrees with the general profile for {ws}"
             )
     return profile
 

@@ -11,7 +11,8 @@ Three brute-force models, deliberately disjoint from the package internals:
   Fraction arithmetic, with the chain read off by a scan over j = 1..r;
 * the representation search as a scan over every set partition, every
   linear order of a chain and every cyclic order of a cycle;
-* the weight solve as Gauss-Jordan elimination over Fraction.
+* the weight solve as Gauss-Jordan elimination over Fraction;
+* the split closed forms alpha and beta of a five-variable (m2, m3) split.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from bhlink.errors import (
     SingularSystem,
 )
 from bhlink.polynomial import Block, BlockKind, InvertiblePolynomial
-from bhlink.weights import WeightSystem
+from bhlink.weights import SplitDecomposition, WeightSystem
 
 RootMultiset = dict[Fraction, Fraction]
 
@@ -299,3 +300,28 @@ def oracle_solve_weights(poly: InvertiblePolynomial) -> WeightSystem:
         raise NonPositiveWeights(f"weight ray {ints[:-1]} has a non-positive entry")
     g = gcd(*ints)
     return WeightSystem(tuple(x // g for x in ints[:-1]), ints[-1] // g)
+
+
+# ----- the split closed forms --------------------------------------------------
+
+
+def alpha(split: SplitDecomposition) -> Fraction:
+    """m2/(v0 v1) - 1/v0 - 1/v1 on the m3 group; the torsion exponent is
+    alpha + 1 for the rational-homology-sphere split cases."""
+    i, j = split.group3
+    v0, v1 = split.v[i], split.v[j]
+    return Fraction(split.m2, v0 * v1) - Fraction(1, v0) - Fraction(1, v1)
+
+
+def beta(split: SplitDecomposition) -> Fraction:
+    """The quadratic expression in m3 and the m2-group v's.
+
+    On index-one data (weight sum d + 1) beta = 1 exactly when the link of
+    the split data is a rational homology sphere.  Off index one the
+    equivalence fails: (60, 72, 35, 72, 150; 360) with groups ((1, 3),
+    (0, 2, 4)) has beta = 11/12 and b3 = 0.
+    """
+    a, b_, c_ = (split.v[i] for i in split.group2)
+    m3 = split.m3
+    numerator = m3 * m3 - (a + b_ + c_) * m3 + (a * b_ + a * c_ + b_ * c_)
+    return Fraction(numerator, a * b_ * c_)

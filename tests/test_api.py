@@ -1,0 +1,32 @@
+"""The package's public surface, pinned so that any growth shows as a diff."""
+
+from types import ModuleType
+
+import bhlink
+
+PUBLIC = {
+    # weights and polynomials
+    "WeightSystem", "ReducedWeights", "SplitDecomposition", "solve_weights", "wellformed_space",
+    "Block", "BlockKind", "InvertiblePolynomial", "classify",
+    "enumerate_representations", "find_chain_cycle", "has_invertible_representation",
+    # homology
+    "CyclotomicDivisor", "expand_link_divisor", "link_divisor", "milnor_number",
+    "betti_subset_sum", "orlik_torsion", "homology_profile", "HomologyProfile",
+    "TorsionWorksheet", "branched_cover", "DiffeoType",
+    # duality
+    "bh_dual", "chain_cycle_closed_forms", "ClosedFormPrediction", "is_twin", "swap_twin",
+    "pipeline", "DualReport", "se_certificate", "SasakiVerdict", "Verdict",
+    # errors
+    "BhlinkError", "CrossCheckFailed", "NoRepresentation", "NoSplit", "NonIntegralC",
+    "NonIntegralExpansion", "NonIntegralMilnor", "NonIntegralOrder", "NonPositiveWeights",
+    "PoleAtT", "PreconditionFailed", "SingularSystem",
+}
+
+
+def test_public_names_are_pinned():
+    # submodules become attributes as they are imported, so they are left out
+    names = {
+        name for name, value in vars(bhlink).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert names == PUBLIC

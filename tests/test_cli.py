@@ -3,6 +3,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from bhlink import WeightSystem, cli, duality, find_chain_cycle
 from bhlink.cli import main
@@ -254,6 +258,38 @@ def test_batch_accepts_byte_order_mark(tmp_path, capsys):
     assert main(["batch", str(marked), str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_batch_directory_as_input_exit_2(tmp_path, capsys):
+    assert main(["batch", str(tmp_path), str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_batch_output_in_missing_directory_exit_2(tmp_path, capsys):
+    src = tmp_path / "in.csv"
+    _write_rows(src, [(ROWS[0].source, ROWS[0].source_degree)])
+    assert main(["batch", str(src), str(tmp_path / "missing" / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exit_2():
+    # the reader goes away before the first write, as with `| head -1`
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bhlink.cli", "verify-table"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def _write_rows(path, systems):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bhlink import CyclotomicDivisor, WeightSystem, expand_link_divisor, lambda_product
+from bhlink import CyclotomicDivisor, WeightSystem, expand_link_divisor
 from bhlink.errors import NonIntegralExpansion, PoleAtT
 from bhlink.invariants import link_divisor
 
@@ -23,9 +23,10 @@ L = CyclotomicDivisor.lam
 
 
 def test_lambda_product_basic():
-    assert lambda_product(1, 1) == L(1)
-    assert lambda_product(6, 4) == L(12, 2)
-    assert lambda_product(7, 7) == L(7, 7)
+    # L_a * L_b = gcd(a, b) L_lcm(a, b)
+    assert L(1) * L(1) == L(1)
+    assert L(6) * L(4) == L(12, 2)
+    assert L(7) * L(7) == L(7, 7)
 
 
 def test_lambda_product_matches_root_multiset_oracle():
@@ -33,7 +34,7 @@ def test_lambda_product_matches_root_multiset_oracle():
     for _ in range(50):
         a, b = rng.randint(1, 24), rng.randint(1, 24)
         expected = root_mul(roots_of_unity(a), roots_of_unity(b))
-        assert divisor_roots(lambda_product(a, b)) == expected
+        assert divisor_roots(L(a) * L(b)) == expected
 
 
 def test_multiply_squared_difference_collapses_to_unit():

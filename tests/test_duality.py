@@ -1,5 +1,7 @@
 """Transpose duals, closed forms, twins and Einstein certification."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,32 @@ def test_se_certificate_permutation_invariant():
     a = se_certificate(WeightSystem((299, 325, 2400, 3000, 1800), 7800))
     b = se_certificate(WeightSystem((3000, 325, 1800, 299, 2400), 7800))
     assert a == b
+
+
+def _inequality_by_fractions(ws):
+    n = ws.n_vars - 1
+    min_pair = min(a * b for i, a in enumerate(ws.weights) for b in ws.weights[i + 1 :])
+    return Fraction(ws.fano_index() * ws.degree) < Fraction(n, n - 1) * min_pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(3, 8), degree=st.integers(2, 400))
+def test_se_certificate_integer_inequality_matches_fractions(data, n, degree):
+    weights = data.draw(st.tuples(*[st.integers(1, degree - 1)] * n))
+    ws = WeightSystem(weights, degree)
+    assert se_certificate(ws).inequality_holds == _inequality_by_fractions(ws)
+
+
+def test_se_certificate_boundary_is_strict():
+    # I d = 2 = (2/1) * min w_i w_j: equality does not certify
+    v = se_certificate(WeightSystem((1, 1, 1), 2))
+    assert not v.inequality_holds
+    assert v.verdict is Verdict.POSITIVE_RICCI_ONLY
+
+
+def test_se_certificate_needs_three_variables():
+    with pytest.raises(PreconditionFailed):
+        se_certificate(WeightSystem((1, 1), 2))
 
 
 def test_bh_dual_chain_cycle_929():

@@ -2,28 +2,28 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
 from bhlink import (
+    CyclotomicDivisor,
     DiffeoType,
     WeightSystem,
-    alpha,
-    beta,
-    betti,
     betti_subset_sum,
     branched_cover,
-    coprime_profile,
     homology_profile,
-    is_rational_homology_sphere,
+    invariants,
     link_divisor,
     milnor_number,
     orlik_torsion,
 )
-from bhlink.errors import NonIntegralMilnor, PreconditionFailed
+from bhlink.errors import CrossCheckFailed, NoSplit, NonIntegralMilnor
+from bhlink.fixture import ROWS
 
-from generators import random_weight_system
+from generators import random_weight_system, theorem_population
+from oracles import alpha, beta
 
 
 def test_milnor_number_examples():
@@ -37,10 +37,14 @@ def test_milnor_number_rejects_non_integral():
         milnor_number(WeightSystem((2, 3, 4, 5, 6), 7))
 
 
+def b3(ws):
+    return homology_profile(ws).b3
+
+
 def test_betti_examples():
-    assert betti(WeightSystem((15, 35, 15, 9, 32), 105)) == 24
-    assert betti(WeightSystem((5, 35, 57, 64, 160), 320)) == 36
-    assert betti(WeightSystem((73, 73, 95, 45, 80), 365)) == 0
+    assert b3(WeightSystem((15, 35, 15, 9, 32), 105)) == 24
+    assert b3(WeightSystem((5, 35, 57, 64, 160), 320)) == 36
+    assert b3(WeightSystem((73, 73, 95, 45, 80), 365)) == 0
 
 
 def test_betti_routes_agree_on_random_systems():
@@ -67,9 +71,12 @@ def test_orlik_torsion_examples():
 def test_orlik_worksheet_structure():
     ws = WeightSystem((15, 35, 14, 7, 35), 105)
     sheet, torsion = orlik_torsion(ws)
-    assert sheet.c[()] == gcd(*ws.reduced().u)
-    assert all(value >= 1 for value in sheet.c.values())
-    assert sheet.r == 26
+    # indexed by bitmask: 2^5 subsets, the empty one first
+    assert len(sheet.c) == len(sheet.scaled_k) == 32
+    assert sheet.c[0] == gcd(*ws.reduced().u)
+    assert all(value >= 1 for value in sheet.c)
+    assert all(type(value) is int for value in sheet.c + sheet.scaled_k + (sheet.scale, sheet.r))
+    assert sheet.r == 26 == max(sheet.scaled_k) // sheet.scale
     # divisibility chain
     for a, b in zip(torsion, torsion[1:]):
         assert a % b == 0
@@ -96,43 +103,62 @@ def test_torsion_order_equals_delta_order_for_rhs():
         assert profile.torsion_order() == link_divisor(ws).delta_order_at_one()
 
 
-def test_is_rational_homology_sphere():
-    assert is_rational_homology_sphere(WeightSystem((73, 73, 95, 45, 80), 365))
-    assert not is_rational_homology_sphere(WeightSystem((15, 35, 15, 9, 32), 105))
-    assert not is_rational_homology_sphere(WeightSystem((1, 1, 1, 1, 1), 5))
-
-
 def test_alpha_beta_closed_forms():
     ws = WeightSystem((881, 881, 465, 99, 318), 2643)
     split = ws.split()
     assert alpha(split) == 1
     assert beta(split) == 1
-    _, torsion = orlik_torsion(ws)
-    assert torsion == (881,) * (int(alpha(split)) + 1)
+    assert homology_profile(ws).torsion == (881,) * (int(alpha(split)) + 1)
 
     ws = WeightSystem((73, 73, 95, 45, 80), 365)
     split = ws.split()
     assert alpha(split) == 3
     assert beta(split) == 1
-    _, torsion = orlik_torsion(ws)
-    assert torsion == (73,) * 4
+    assert homology_profile(ws).torsion == (73,) * (int(alpha(split)) + 1)
 
 
 def test_beta_is_one_for_rhs_splits():
     for w in [(65, 650, 1581, 867, 153), (118, 118, 185, 135, 35), (13, 13, 125, 100, 75)]:
         ws = WeightSystem(w, sum(w) - 1)
-        assert betti(ws) == 0
+        assert b3(ws) == 0
         assert beta(ws.split()) == 1
 
 
-def test_coprime_profile_quadric():
-    p = coprime_profile(WeightSystem((1, 1, 1, 1, 1), 2))
-    assert (p.torsion, p.mu) == ((2,), 1)
+def splits(ws):
+    """Every (m2, m3) split of five-variable data, over all groupings."""
+    for group3 in combinations(range(5), 2):
+        group2 = tuple(i for i in range(5) if i not in group3)
+        try:
+            yield ws.split((group3, group2))
+        except NoSplit:
+            pass
+
+
+def test_beta_is_one_exactly_for_rhs_on_index_one_splits():
+    golden = [WeightSystem(row.source, row.source_degree) for row in ROWS]
+    golden += [WeightSystem(row.dual, row.dual_degree) for row in ROWS]
+    sample = random.Random(12).sample(theorem_population(), 150)
+    checked = 0
+    for ws in golden + [ws for _, ws in sample]:
+        if ws.fano_index() != 1:
+            continue
+        rhs = b3(ws) == 0
+        for split in splits(ws):
+            assert (beta(split) == 1) == rhs, (ws, split)
+            checked += 1
+    assert checked > len(ROWS)  # every golden source has its split
+
+
+def test_beta_off_index_one_is_not_the_rhs_test():
+    ws = WeightSystem((60, 72, 35, 72, 150), 360)
+    assert ws.fano_index() != 1
+    assert beta(ws.split(((1, 3), (0, 2, 4)))) == Fraction(11, 12)
+    assert b3(ws) == 0
 
 
 def test_coprime_profile_identity_with_positive_betti():
     # the identity mu + 1 = d (b + 1) holds even off the sphere case
-    p = coprime_profile(WeightSystem((1, 1, 1, 1, 1), 5))
+    p = homology_profile(WeightSystem((1, 1, 1, 1, 1), 5))
     assert p.b3 == 204
     assert p.mu + 1 == 5 * (p.b3 + 1)
 
@@ -148,13 +174,37 @@ def test_coprime_profile_identity_on_random_coprime_systems():
         if any(gcd(ws.degree, w) != 1 for w in ws.weights):
             continue
         count += 1
-        p = coprime_profile(ws)
+        p = homology_profile(ws)
         assert p.mu + 1 == ws.degree * (p.b3 + 1)
 
 
 def test_coprime_profile_precondition():
-    with pytest.raises(PreconditionFailed):
-        coprime_profile(WeightSystem((15, 35, 14, 7, 35), 105))
+    # off the coprime domain the identity fails and is not applied
+    ws = WeightSystem((15, 35, 14, 7, 35), 105)
+    p = homology_profile(ws)
+    assert p.mu + 1 != ws.degree * (p.b3 + 1)
+
+
+@pytest.mark.parametrize("n, d", [(6, 2), (6, 3), (7, 3), (8, 3)])
+def test_coprime_identity_sign_follows_the_variable_count(n, d):
+    # the divisor is s L_1 + x L_d with s = (-1)^n for n variables
+    p = homology_profile(WeightSystem((1,) * n, d))
+    s = (-1) ** n
+    assert p.mu - s == d * (p.b3 - s)
+    assert p.mu + s != d * (p.b3 + s)
+
+
+def test_coprime_identity_is_checked(monkeypatch):
+    # shift mu and the divisor's root count together: only the coprime
+    # identity can see the difference
+    real_divisor, real_milnor = invariants.link_divisor, invariants.milnor_number
+    shift = CyclotomicDivisor.lam(2) - CyclotomicDivisor.one()
+    monkeypatch.setattr(invariants, "link_divisor", lambda ws: real_divisor(ws) + shift)
+    monkeypatch.setattr(invariants, "milnor_number", lambda ws: real_milnor(ws) + 1)
+    with pytest.raises(CrossCheckFailed, match="coprime identity"):
+        homology_profile(WeightSystem((1, 1, 1, 1, 1), 5))
+    # b3 = 24 keeps the torsion check out; gcd(d, w_i) > 1 keeps the identity out
+    homology_profile(WeightSystem((15, 35, 15, 9, 32), 105))
 
 
 def test_branched_cover_kervaire():
