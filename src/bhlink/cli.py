@@ -196,9 +196,13 @@ def _serialize_weights(weights: tuple[int, ...]) -> str:
 def process_batch_row(record: dict[str, str]) -> dict[str, str]:
     """Compute one batch output row; errors land in the ``error`` column."""
     out = dict(record)
+    # fields past the header's end; dropped so the output stays rectangular
+    extra = out.pop(None, None)
     for column in BATCH_OUTPUT_COLUMNS:
         out.setdefault(column, "")
     try:
+        if extra:
+            raise ValueError(f"{len(extra)} more fields than the header")
         weights = tuple(int(record[f"w{i}"]) for i in range(5))
         degree = int(record["d"])
         ws = WeightSystem(weights, degree).normalized()
@@ -248,23 +252,33 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
-    path = Path(args.input)
+def _read_csv(path: Path) -> tuple[list[str], list[dict[str, str]]]:
+    """The header and records of a CSV file; a missing field reads as "" and
+    fields past the header are listed under the key None.  Raises
+    :class:`_InputError` for a path that is not a file, bytes that are not
+    UTF-8 or a record the csv module rejects."""
     if not path.is_file():
-        print(f"error: no such file {path}", file=sys.stderr)
-        return 2
-    # utf-8-sig drops the byte-order mark a spreadsheet export may start with
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        required = ["w0", "w1", "w2", "w3", "w4", "d"]
+        raise _InputError(f"no such file {path}")
+    try:
+        # utf-8-sig drops the byte-order mark a spreadsheet export may start with
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv.DictReader(handle, restval="")
+            return list(reader.fieldnames or []), list(reader)
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
+    except csv.Error as exc:
+        raise _InputError(f"malformed CSV {path}: {exc}")
+
+
+def cmd_batch(args: argparse.Namespace) -> int:
+    required = ["w0", "w1", "w2", "w3", "w4", "d"]
+    try:
+        header, records = _read_csv(Path(args.input))
         if header[: len(required)] != required:
-            print(
-                f"error: malformed CSV header {header}, expected it to start with {required}",
-                file=sys.stderr,
-            )
-            return 2
-        records = list(reader)
+            raise _InputError(f"malformed CSV header {header}, expected it to start with {required}")
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # open the output before any row is computed, so a bad path fails fast
     try:
         output = Path(args.output).open("w", newline="", encoding="utf-8")
@@ -316,18 +330,17 @@ _FIXTURE_COLUMNS = (
 
 
 def _load_fixture_csv(path: Path) -> list[FixtureRow]:
-    """Read a golden-table CSV; :class:`_InputError` on a missing file, a
+    """Read a golden-table CSV; :class:`_InputError` on an unreadable file, a
     header without the fixture columns or a field that does not parse."""
-    if not path.is_file():
-        raise _InputError(f"no such file {path}")
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle, restval="")
-        header = reader.fieldnames or []
-        missing = [column for column in _FIXTURE_COLUMNS if column not in header]
-        if missing:
-            raise _InputError(f"malformed fixture header {header}, missing {missing}")
+    header, records = _read_csv(path)
+    missing = [column for column in _FIXTURE_COLUMNS if column not in header]
+    if missing:
+        raise _InputError(f"malformed fixture header {header}, missing {missing}")
+    rows = []
+    # the header is row 1
+    for number, record in enumerate(records, start=2):
         try:
-            return [
+            rows.append(
                 FixtureRow(
                     source=tuple(int(record[f"w{i}"]) for i in range(5)),
                     dual=tuple(int(record[f"tw{i}"]) for i in range(5)),
@@ -335,10 +348,10 @@ def _load_fixture_csv(path: Path) -> list[FixtureRow]:
                     dual_mu=int(record["dual_mu"]),
                     dual_torsion=_parse_torsion(record["dual_torsion"]),
                 )
-                for record in reader
-            ]
+            )
         except ValueError as exc:
-            raise _InputError(f"malformed fixture row {reader.line_num}: {exc}")
+            raise _InputError(f"malformed fixture row {number}: {exc}")
+    return rows
 
 
 def verify_row(row: FixtureRow) -> tuple[bool, str]:

@@ -1,4 +1,4 @@
-"""Exact arithmetic in the divisor ring of the monodromy characteristic polynomial.
+"""The expanded L_n divisor of a link and its evaluators.
 
 The characteristic polynomial of the monodromy of a weighted-homogeneous link
 is a quotient of products of polynomials t^j - 1.  Its divisor is recorded as
@@ -7,7 +7,8 @@ an integer combination of the symbols
     L_n = div(t^n - 1),
 
 which multiply by the rule  L_a * L_b = gcd(a, b) * L_{lcm(a, b)},  extended
-bilinearly.  For a weight system (w_0..w_n; d) with reduced invariants
+bilinearly; ``expand_link_divisor`` applies that rule factor by factor.  For
+a weight system (w_0..w_n; d) with reduced invariants
 u_i = d / gcd(d, w_i) and v_i = w_i / gcd(d, w_i), the link divisor is the
 fully expanded product
 
@@ -26,13 +27,13 @@ expanded divisor sum(a_j L_j) one reads off:
 
 All coefficients are integers, not rationals, of arbitrary precision; only
 ``delta_eval`` returns an exact rational.  Divisors are immutable values, so
-every operation is safe under concurrency.
+every evaluator is safe under concurrency.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping
 
 from .errors import NonIntegralExpansion, NonIntegralOrder, PoleAtT
@@ -47,9 +48,7 @@ class CyclotomicDivisor:
     """A finite combination sum(a_j L_j) with integer coefficients.
 
     Only nonzero coefficients are stored; the zero divisor has an empty term
-    map.  Addition is componentwise and multiplication is the bilinear
-    extension of L_a * L_b = gcd(a, b) L_{lcm(a, b)}.  L_1 is the
-    multiplicative unit.
+    map.  Two divisors are equal when their term maps are.
     """
 
     __slots__ = ("_terms",)
@@ -67,64 +66,14 @@ class CyclotomicDivisor:
                     clean[int(j)] = int(a)
         self._terms = clean
 
-    @classmethod
-    def zero(cls) -> CyclotomicDivisor:
-        return cls()
-
-    @classmethod
-    def lam(cls, n: int, coeff: int = 1) -> CyclotomicDivisor:
-        """The divisor coeff * L_n."""
-        return cls({n: coeff})
-
-    @classmethod
-    def one(cls) -> CyclotomicDivisor:
-        """The multiplicative unit L_1."""
-        return cls({1: 1})
-
     @property
     def terms(self) -> dict[int, int]:
         return dict(self._terms)
-
-    def coefficient(self, j: int) -> int:
-        return self._terms.get(j, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclotomicDivisor):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: CyclotomicDivisor) -> CyclotomicDivisor:
-        out = dict(self._terms)
-        for j, a in other._terms.items():
-            out[j] = out.get(j, 0) + a
-        return CyclotomicDivisor(out)
-
-    def __sub__(self, other: CyclotomicDivisor) -> CyclotomicDivisor:
-        return self + (-other)
-
-    def __neg__(self) -> CyclotomicDivisor:
-        return CyclotomicDivisor({j: -a for j, a in self._terms.items()})
-
-    def __mul__(self, other: CyclotomicDivisor | int) -> CyclotomicDivisor:
-        if isinstance(other, int):
-            return CyclotomicDivisor({j: a * other for j, a in self._terms.items()})
-        if not isinstance(other, CyclotomicDivisor):
-            return NotImplemented
-        out: dict[int, int] = {}
-        for j1, a1 in self._terms.items():
-            for j2, a2 in other._terms.items():
-                j = lcm(j1, j2)
-                out[j] = out.get(j, 0) + a1 * a2 * gcd(j1, j2)
-        return CyclotomicDivisor(out)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         if not self._terms:

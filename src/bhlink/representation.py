@@ -19,7 +19,6 @@ options, and a candidate survives iff the structural validation passes.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import NoRepresentation
@@ -44,10 +43,6 @@ def _cycle_block(order: tuple[int, ...], ws: WeightSystem) -> Block:
 def _fermat_block(var: int, ws: WeightSystem) -> Block | None:
     a, r = divmod(ws.degree, ws.weights[var])
     return Block(BlockKind.FERMAT, (var,), (a,)) if r == 0 and a >= 2 else None
-
-
-def _mask(variables: Iterable[int]) -> int:
-    return sum(1 << v for v in set(variables))
 
 
 def _option_table(ws: WeightSystem) -> list[list[Block]]:
@@ -135,35 +130,26 @@ def _exponent_tuple(poly: InvertiblePolynomial) -> tuple[int, ...]:
     return tuple(poly.exponent_of(i) for i in range(poly.n_vars))
 
 
-def pick_chain_cycle(
-    polys: Iterable[InvertiblePolynomial],
-    grouping: tuple[tuple[int, int], tuple[int, int, int]] = ((0, 1), (2, 3, 4)),
-) -> InvertiblePolynomial | None:
-    """The polynomial whose blocks are exactly a chain on ``grouping[0]`` and
-    a cycle on ``grouping[1]`` with the smallest per-variable exponent tuple
-    (then the smallest canonical key), or None when there is none."""
-    shape = [(BlockKind.CHAIN, set(grouping[0])), (BlockKind.CYCLE, set(grouping[1]))]
+def pick_chain_cycle(polys: Iterable[InvertiblePolynomial]) -> InvertiblePolynomial | None:
+    """The polynomial whose blocks are exactly a chain on variables 0, 1 and a
+    cycle on 2, 3, 4 with the smallest per-variable exponent tuple (then the
+    smallest canonical key), or None when there is none.  The key is total,
+    so the order of ``polys`` does not matter."""
+    shape = [(BlockKind.CHAIN, {0, 1}), (BlockKind.CYCLE, {2, 3, 4})]
     matches = (p for p in polys if [(b.kind, set(b.variables)) for b in p.blocks] == shape)
     return min(matches, key=lambda p: (_exponent_tuple(p), _canonical_key(p)), default=None)
 
 
-def find_chain_cycle(
-    ws: WeightSystem,
-    grouping: tuple[tuple[int, int], tuple[int, int, int]] = ((0, 1), (2, 3, 4)),
-) -> InvertiblePolynomial:
-    """The representation with a 2-chain on ``grouping[0]`` and a 3-cycle on
-    ``grouping[1]``, tie-broken by the smallest per-variable exponent tuple.
+def find_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
+    """The representation with a 2-chain on variables 0, 1 and a 3-cycle on
+    2, 3, 4, tie-broken by the smallest per-variable exponent tuple.
 
     Raises :class:`NoRepresentation` when no such polynomial matches the
     weights.
     """
     if ws.n_vars != 5:
         raise NoRepresentation("chain-cycle search expects a five-variable system")
-    table = _option_table(ws)
-    chains = [b for b in table[_mask(grouping[0])] if b.kind is BlockKind.CHAIN]
-    cycles = [b for b in table[_mask(grouping[1])] if b.kind is BlockKind.CYCLE]
-    polys = (InvertiblePolynomial(5, blocks) for blocks in product(chains, cycles))
-    chosen = pick_chain_cycle((poly for poly in polys if not poly.validate()), grouping)
+    chosen = pick_chain_cycle(_iter_representations(ws))
     if chosen is None:
         raise NoRepresentation(f"no chain-cycle representation for {ws}")
     return chosen

@@ -30,3 +30,21 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert names == PUBLIC
+
+
+def test_divisor_members_are_pinned():
+    # perfbench/layers.py wraps the three evaluators by name and reads .terms;
+    # the divisor is a value with evaluators, not a ring
+    members = {name for name in dir(bhlink.CyclotomicDivisor) if not name.startswith("_")}
+    assert members == {"terms", "coefficient_sum", "root_count", "delta_order_at_one", "delta_eval"}
+    for operator in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+        assert not hasattr(bhlink.CyclotomicDivisor, operator)
+
+
+def test_chain_cycle_search_takes_no_grouping():
+    from inspect import signature
+
+    from bhlink.representation import pick_chain_cycle
+
+    assert list(signature(bhlink.find_chain_cycle).parameters) == ["ws"]
+    assert list(signature(pick_chain_cycle).parameters) == ["polys"]

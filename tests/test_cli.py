@@ -274,6 +274,66 @@ def test_batch_output_in_missing_directory_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _single_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    return captured.err
+
+
+def test_batch_non_utf8_input_exit_2(tmp_path, capsys):
+    src = tmp_path / "bad.csv"
+    src.write_bytes(b"\xff\xfe")
+    assert main(["batch", str(src), str(tmp_path / "out.csv")]) == 2
+    assert "not UTF-8" in _single_error_line(capsys)
+
+
+def test_verify_table_non_utf8_fixture_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["verify-table", "--fixture", str(path)]) == 2
+    assert "not UTF-8" in _single_error_line(capsys)
+
+
+def test_batch_oversized_field_exit_2(tmp_path, capsys):
+    # the csv module refuses a field past its size limit
+    src = tmp_path / "in.csv"
+    src.write_text(f'w0,w1,w2,w3,w4,d\n"{"1" * (csv.field_size_limit() + 1)}"\n')
+    assert main(["batch", str(src), str(tmp_path / "out.csv")]) == 2
+    assert "malformed CSV" in _single_error_line(capsys)
+
+
+def _batch_records(tmp_path, capsys, body, jobs="1"):
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("w0,w1,w2,w3,w4,d\n" + body)
+    assert main(["batch", str(src), str(dst), "--jobs", jobs]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with dst.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    header = rows[0]
+    assert all(len(row) == len(header) for row in rows)
+    return [dict(zip(header, row)) for row in rows[1:]]
+
+
+def test_batch_short_row_is_that_rows_error(tmp_path, capsys):
+    first, short, last = _batch_records(
+        tmp_path, capsys, "1,1,1,1,1,2\n1,1,1\n15,35,14,7,35,105\n"
+    )
+    assert first["error"] == "" and first["torsion"] == "Z_2"
+    assert short["error"].startswith("ValueError") and short["w3"] == ""
+    assert last["error"] == "" and last["torsion"] == "Z_7^26"
+
+
+def test_batch_long_row_is_that_rows_error(tmp_path, capsys):
+    for jobs in ("1", "2"):
+        long, last = _batch_records(
+            tmp_path, capsys, "1,1,1,1,1,5,7,8\n15,35,14,7,35,105\n", jobs
+        )
+        assert long["error"] == "ValueError: 2 more fields than the header"
+        assert long["d"] == "5" and long["b3"] == ""
+        assert last["error"] == "" and last["torsion"] == "Z_7^26"
+
+
 def test_closed_stdout_exit_2():
     # the reader goes away before the first write, as with `| head -1`
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -1,4 +1,4 @@
-"""Divisor ring: generator products, link expansion, evaluation."""
+"""Link divisor: the expansion against the circle model, and its evaluators."""
 
 import random
 from fractions import Fraction
@@ -19,66 +19,71 @@ from oracles import (
     roots_of_unity,
 )
 
-L = CyclotomicDivisor.lam
+D = CyclotomicDivisor
+
+
+def _product_roots(pairs):
+    """prod ((1/v) L_u - L_1) on the circle model, factor by factor."""
+    acc = roots_of_unity(1)
+    for u, v in pairs:
+        factor = root_add(root_scale(roots_of_unity(u), Fraction(1, v)), root_scale(roots_of_unity(1), -1))
+        acc = root_mul(acc, factor)
+    return acc
+
+
+def _check_expansion(pairs, rng):
+    expanded = expand_link_divisor(pairs)
+    assert divisor_roots(expanded) == _product_roots(pairs)
+    shuffled = list(pairs)
+    rng.shuffle(shuffled)
+    assert expand_link_divisor(shuffled) == expanded
+    return expanded
 
 
 def test_lambda_product_basic():
-    # L_a * L_b = gcd(a, b) L_lcm(a, b)
-    assert L(1) * L(1) == L(1)
-    assert L(6) * L(4) == L(12, 2)
-    assert L(7) * L(7) == L(7, 7)
+    # (L_a - L_1)(L_b - L_1) = gcd(a, b) L_lcm(a, b) - L_a - L_b + L_1
+    rng = random.Random(0)
+    assert _check_expansion([(1, 1), (1, 1)], rng) == D({})
+    assert _check_expansion([(6, 1), (4, 1)], rng) == D({12: 2, 6: -1, 4: -1, 1: 1})
+    assert _check_expansion([(7, 1), (7, 1)], rng) == D({7: 5, 1: 1})
 
 
 def test_lambda_product_matches_root_multiset_oracle():
     rng = random.Random(0)
     for _ in range(50):
-        a, b = rng.randint(1, 24), rng.randint(1, 24)
-        expected = root_mul(roots_of_unity(a), roots_of_unity(b))
-        assert divisor_roots(L(a) * L(b)) == expected
+        pairs = [(rng.randint(1, 24), 1) for _ in range(rng.randint(1, 3))]
+        _check_expansion(pairs, rng)
 
 
 def test_multiply_squared_difference_collapses_to_unit():
     # (L2 - L1)^2 = 2 L2 - 2 L2 + L1 = L1, cross-checked on the circle model
-    x = L(2) - L(1)
-    assert x * x == L(1)
-    assert divisor_roots(x * x) == root_mul(divisor_roots(x), divisor_roots(x))
-
-
-def test_multiply_zero_and_unit():
-    x = L(6, 2) - L(4) + L(1, 3)
-    assert x * CyclotomicDivisor.zero() == CyclotomicDivisor.zero()
-    assert x * L(1) == x
+    assert _check_expansion([(2, 1), (2, 1)], random.Random(0)) == D({1: 1})
 
 
 def test_coefficients_are_integers():
     assert CyclotomicDivisor({3: Fraction(4, 2)}).terms == {3: 2}
-    assert type(CyclotomicDivisor({3: Fraction(4, 2)}).coefficient(3)) is int
+    assert type(CyclotomicDivisor({3: Fraction(4, 2)}).terms[3]) is int
     with pytest.raises(ValueError, match="L6"):
         CyclotomicDivisor({1: 1, 6: Fraction(1, 2)})
-    with pytest.raises(TypeError):
-        L(2) * Fraction(1, 2)
-
-
-def _random_divisor(rng):
-    return CyclotomicDivisor(
-        {rng.randint(1, 18): rng.randint(-3, 3) for _ in range(rng.randint(1, 4))}
-    )
 
 
 def test_ring_laws_on_random_divisors():
+    # the expansion of a valid system's reduced pairs, fractional 1/v_i
+    # included, agrees with the circle model in every factor order
+    from generators import random_weight_system
+
     rng = random.Random(1)
-    for _ in range(120):
-        x, y, z = (_random_divisor(rng) for _ in range(3))
-        assert x * y == y * x
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        assert x * L(1) == x
-        assert divisor_roots(x * y) == root_mul(divisor_roots(x), divisor_roots(y))
-        assert divisor_roots(x + y) == root_add(divisor_roots(x), divisor_roots(y))
+    count = 0
+    while count < 30:
+        got = random_weight_system(rng, max_weight=12)
+        if got is None:
+            continue
+        count += 1
+        _check_expansion(list(got[1].reduced().pairs()), rng)
 
 
 def test_expand_single_factor():
-    assert expand_link_divisor([(2, 1)]) == L(2) - L(1)
+    assert expand_link_divisor([(2, 1)]) == D({2: 1, 1: -1})
 
 
 def test_expand_quadric_five_fold():
@@ -91,7 +96,7 @@ def test_expand_quadric_five_fold():
     assert divisor_roots(d) == acc
     # the expansion collapses to L2 - L1: one root, none of them at t = 1,
     # matching the quadric link being a rational homology sphere with mu = 1
-    assert d == L(2) - L(1)
+    assert d == D({2: 1, 1: -1})
     assert d.coefficient_sum() == 0
     assert d.root_count() == 1
 
@@ -109,19 +114,19 @@ def test_expand_rejects_invalid_weight_system():
 
 
 def test_coefficient_sum_examples():
-    assert (L(2) - L(1)).coefficient_sum() == 0
+    assert (D({2: 1, 1: -1})).coefficient_sum() == 0
     assert link_divisor(WeightSystem((15, 35, 15, 9, 32), 105)).coefficient_sum() == 24
     assert link_divisor(WeightSystem((5, 35, 57, 64, 160), 320)).coefficient_sum() == 36
 
 
 def test_root_count_examples():
-    assert (L(2) - L(1)).root_count() == 1
+    assert (D({2: 1, 1: -1})).root_count() == 1
     assert link_divisor(WeightSystem((1, 1, 1, 1, 1), 2)).root_count() == 1
 
 
 def test_delta_order_at_one():
     # Delta(t) = (t^2 - 1)/(t - 1) = t + 1, so |Delta(1)| = 2
-    x = L(2) - L(1)
+    x = D({2: 1, 1: -1})
     assert x.delta_order_at_one() == 2
     poly = characteristic_polynomial(x)
     assert abs(poly_eval(poly, Fraction(1))) == 2
@@ -134,7 +139,7 @@ def test_delta_order_at_one():
 
 
 def test_delta_eval_simple_points():
-    x = L(2) - L(1)
+    x = D({2: 1, 1: -1})
     oracle = characteristic_polynomial(x)
     assert x.delta_eval(0) == poly_eval(oracle, Fraction(0)) == 1
     assert x.delta_eval(-1) == poly_eval(oracle, Fraction(-1)) == 0
@@ -152,7 +157,7 @@ def test_delta_eval_kervaire_join():
 
 def test_delta_eval_pole():
     with pytest.raises(PoleAtT):
-        (L(1) - L(2)).delta_eval(-1)
+        D({1: 1, 2: -1}).delta_eval(-1)
 
 
 def test_delta_eval_matches_polynomial_oracle_on_random_links():

@@ -198,8 +198,14 @@ def test_coprime_identity_is_checked(monkeypatch):
     # shift mu and the divisor's root count together: only the coprime
     # identity can see the difference
     real_divisor, real_milnor = invariants.link_divisor, invariants.milnor_number
-    shift = CyclotomicDivisor.lam(2) - CyclotomicDivisor.one()
-    monkeypatch.setattr(invariants, "link_divisor", lambda ws: real_divisor(ws) + shift)
+    def shifted_divisor(ws):
+        # + L2 - L1: one more root, the coefficient sum unchanged
+        terms = real_divisor(ws).terms
+        for j, a in ((2, 1), (1, -1)):
+            terms[j] = terms.get(j, 0) + a
+        return CyclotomicDivisor(terms)
+
+    monkeypatch.setattr(invariants, "link_divisor", shifted_divisor)
     monkeypatch.setattr(invariants, "milnor_number", lambda ws: real_milnor(ws) + 1)
     with pytest.raises(CrossCheckFailed, match="coprime identity"):
         homology_profile(WeightSystem((1, 1, 1, 1, 1), 5))
