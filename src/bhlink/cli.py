@@ -13,14 +13,15 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 from pathlib import Path
 
 from .duality import Verdict, checked_dual, is_twin, pipeline, se_certificate
-from .errors import BhlinkError, CrossCheckFailed, NonIntegralC
+from .errors import BhlinkError, CrossCheckFailed, NoRepresentation, NonIntegralC
 from .fixture import ROWS, FixtureRow
 from .invariants import HomologyProfile, homology_profile
 from .polynomial import classify
-from .representation import enumerate_representations, find_chain_cycle, pick_chain_cycle
+from .representation import count_representations, find_chain_cycle, iter_representations
 from .representation import has_invertible_representation
 from .weights import WeightSystem
 
@@ -189,10 +190,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serialize_weights(weights: tuple[int, ...]) -> str:
-    return " ".join(str(w) for w in weights)
-
-
 def process_batch_row(record: dict[str, str]) -> dict[str, str]:
     """Compute one batch output row; errors land in the ``error`` column."""
     out = dict(record)
@@ -218,12 +215,15 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
                 "se_verdict": verdict.verdict.value,
             }
         )
-        reps = enumerate_representations(ws)
-        out["n_reps"] = str(len(reps))
+        out["n_reps"] = str(count_representations(ws))
         # report the chain-cycle dual when one exists (the shape whose dual
-        # is genuinely new); otherwise the first representation with a
-        # nondegenerate dual
-        for chosen in filter(None, [pick_chain_cycle(reps), *reps]):
+        # is genuinely new); otherwise the first representation in canonical
+        # order with a nondegenerate dual, built only as far as that one
+        try:
+            first = [find_chain_cycle(ws)]
+        except NoRepresentation:
+            first = []
+        for chosen in chain(first, iter_representations(ws)):
             try:
                 dual = checked_dual(chosen, ws)
             except CrossCheckFailed:
@@ -232,7 +232,7 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
                 continue
             out.update(
                 {
-                    "dual_w": _serialize_weights(dual.weights.weights),
+                    "dual_w": " ".join(map(str, dual.weights.weights)),
                     "dual_d": str(dual.weights.degree),
                     "dual_torsion": dual.profile.torsion_str(),
                     "dual_mu": str(dual.profile.mu),

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .invariants import HomologyProfile, homology_profile
 from .polynomial import Block, BlockKind, InvertiblePolynomial, classify
-from .representation import enumerate_representations
+from .representation import count_representations, enumerate_representations
 from .weights import SplitDecomposition, WeightSystem, solve_weights
 
 __all__ = [
@@ -239,19 +239,25 @@ def swap_twin(poly: InvertiblePolynomial) -> tuple[InvertiblePolynomial, WeightS
     return swapped, solve_weights(swapped)
 
 
+# The most representations pipeline() reports on: (1^6; 3) has 6,600 and
+# takes seconds; (1^7; 3) has 63,840.
+PIPELINE_BUDGET = 10_000
+
+
 @dataclass(frozen=True)
 class DualReport:
-    """One representation's full dual record: profiles, twin flag, verdicts."""
+    """One representation's full dual record: profiles, twin flag, verdicts;
+    the dual fields stay None when ``error`` says why there is no dual."""
 
     source_polynomial: InvertiblePolynomial
     source_weights: WeightSystem
-    source_profile: HomologyProfile | None
-    dual_polynomial: InvertiblePolynomial | None
-    dual_weights: WeightSystem | None
-    dual_profile: HomologyProfile | None
-    twin: bool | None
-    source_verdict: SasakiVerdict | None
-    dual_verdict: SasakiVerdict | None
+    source_profile: HomologyProfile
+    source_verdict: SasakiVerdict
+    dual_polynomial: InvertiblePolynomial | None = None
+    dual_weights: WeightSystem | None = None
+    dual_profile: HomologyProfile | None = None
+    twin: bool | None = None
+    dual_verdict: SasakiVerdict | None = None
     error: str | None = None
 
 
@@ -303,41 +309,32 @@ def pipeline(ws: WeightSystem) -> list[DualReport]:
     """Dual reports for every invertible representation of the data.
 
     Per-representation errors are folded into the report rather than aborting
-    the batch; every dual goes through :func:`checked_dual`.
+    the batch; every dual goes through :func:`checked_dual`.  Data with more
+    than ``PIPELINE_BUDGET`` representations raises
+    :class:`PreconditionFailed` before any is built.
     """
     ws = ws.normalized()
+    count = count_representations(ws)
+    if count > PIPELINE_BUDGET:
+        raise PreconditionFailed(
+            f"{ws} has {count} invertible representations, over the pipeline budget of {PIPELINE_BUDGET}"
+        )
     source_profile = homology_profile(ws)
     source_verdict = se_certificate(ws)
     reports: list[DualReport] = []
     for poly in enumerate_representations(ws):
+        source = (poly, ws, source_profile, source_verdict)
         try:
             dual = checked_dual(poly, ws)
-            reports.append(
-                DualReport(
-                    source_polynomial=poly,
-                    source_weights=ws,
-                    source_profile=source_profile,
-                    dual_polynomial=dual.polynomial,
-                    dual_weights=dual.weights,
-                    dual_profile=dual.profile,
-                    twin=is_twin(source_profile, dual.profile),
-                    source_verdict=source_verdict,
-                    dual_verdict=se_certificate(dual.weights),
-                )
+            report = DualReport(
+                *source,
+                dual_polynomial=dual.polynomial,
+                dual_weights=dual.weights,
+                dual_profile=dual.profile,
+                twin=is_twin(source_profile, dual.profile),
+                dual_verdict=se_certificate(dual.weights),
             )
         except BhlinkError as exc:
-            reports.append(
-                DualReport(
-                    source_polynomial=poly,
-                    source_weights=ws,
-                    source_profile=source_profile,
-                    dual_polynomial=None,
-                    dual_weights=None,
-                    dual_profile=None,
-                    twin=None,
-                    source_verdict=source_verdict,
-                    dual_verdict=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            report = DualReport(*source, error=f"{type(exc).__name__}: {exc}")
+        reports.append(report)
     return reports

@@ -48,6 +48,9 @@ EVEN_CYCLE_DEGENERATE = "EvenCycleDegenerate"
 SINGULAR_MATRIX = "SingularMatrix"
 BLOCK_TOO_SHORT = "BlockTooShort"
 
+# the block order within a polynomial: Fermat blocks, then chains, then cycles
+_RANK = {BlockKind.FERMAT: 0, BlockKind.CHAIN: 1, BlockKind.CYCLE: 2}
+
 
 @dataclass(frozen=True)
 class Block:
@@ -90,8 +93,7 @@ class Block:
         return prod
 
     def _sort_key(self) -> tuple[int, int]:
-        rank = {BlockKind.FERMAT: 0, BlockKind.CHAIN: 1, BlockKind.CYCLE: 2}[self.kind]
-        return (rank, self.variables[0])
+        return (_RANK[self.kind], self.variables[0])
 
 
 @dataclass(frozen=True)
@@ -131,13 +133,13 @@ class InvertiblePolynomial:
                     continue
                 if b.exponents[0] < 2:
                     violations.append(CHAIN_HEAD_TOO_SMALL)
-                if any(e < 1 for e in b.exponents[1:]):
+                if min(b.exponents[1:]) < 1:
                     violations.append(CHAIN_TAIL_TOO_SMALL)
             else:
                 if len(b.variables) < 2:
                     violations.append(BLOCK_TOO_SHORT)
                     continue
-                if any(e < 1 for e in b.exponents):
+                if min(b.exponents) < 1:
                     violations.append(CYCLE_EXPONENT_TOO_SMALL)
                 if len(b.variables) % 2 == 0:
                     # even cycles with a_j = 1 on all even or all odd positions

@@ -1,4 +1,4 @@
-"""Enumerate the invertible polynomials representing a given weight system.
+"""Count and enumerate the invertible polynomials representing a weight system.
 
 One data set (w; d) usually admits several polynomial shapes.  Exponents are
 forced by the weights,
@@ -7,127 +7,126 @@ forced by the weights,
     chain tail:            a_k = (d - w_prev) / w_k,
     cycle entry:           a_i = (d - w_next) / w_i,
 
-so a chain steps i -> j, and a cycle j -> i, only where w_j | d - w_i.  One
-option table per system holds the blocks of every cell, indexed by the
-cell's variable bitmask: Fermat blocks on the singletons, chains and cycles
-from a depth-first walk along those steps (chains from each head with
-w | d and d / w >= 2, cycles pinned at their smallest variable; a reflected
-cycle is a different polynomial).  Set partitions are walked as bitmasks,
-the cell of the lowest remaining variable taken among the cells with
-options, and a candidate survives iff the structural validation passes.
+so a chain steps i -> j, and a cycle j -> i, only where (d - w_i) / w_j is a
+positive integer.  One option table (cached for the last system) keys the
+*valid* blocks of every cell by its variable bitmask: Fermat blocks (d / w
+>= 2), then chains from each Fermat head and cycles pinned at their smallest
+variable, found by a walk along the steps.  Every exponent is >= 1, so only
+an even cycle can be singular, and none that is degenerate (exponents all 1
+on its even or odd positions) is kept.  So every set partition of table
+blocks is a representation: the count is a subset sum over the table, and
+the walk over partitions yields them lazily in canonical order, validating
+each one as an independent check of the rules it applied.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
 from typing import Iterable, Iterator
 
-from .errors import NoRepresentation
+from .errors import CrossCheckFailed, NoRepresentation
 from .polynomial import Block, BlockKind, InvertiblePolynomial
 from .weights import WeightSystem
 
 __all__ = ["enumerate_representations", "find_chain_cycle", "has_invertible_representation"]
 
 
-def _chain_block(order: tuple[int, ...], ws: WeightSystem) -> Block:
-    d, w = ws.degree, ws.weights
-    tail = [(d - w[prev]) // w[cur] for prev, cur in zip(order, order[1:])]
-    return Block(BlockKind.CHAIN, order, (d // w[order[0]], *tail))
-
-
-def _cycle_block(order: tuple[int, ...], ws: WeightSystem) -> Block:
-    d, w = ws.degree, ws.weights
-    exps = [(d - w[nxt]) // w[cur] for cur, nxt in zip(order, order[1:] + order[:1])]
-    return Block(BlockKind.CYCLE, order, tuple(exps))
-
-
-def _fermat_block(var: int, ws: WeightSystem) -> Block | None:
-    a, r = divmod(ws.degree, ws.weights[var])
-    return Block(BlockKind.FERMAT, (var,), (a,)) if r == 0 and a >= 2 else None
-
-
-def _option_table(ws: WeightSystem) -> list[list[Block]]:
-    """Every Fermat, chain and cycle block of the system, indexed by the
-    bitmask of its variables; chains come before cycles in each cell."""
+@lru_cache(maxsize=1)
+def _option_table(ws: WeightSystem) -> dict[int, list[Block]]:
+    """The valid blocks of every cell with any, keyed by its variable bitmask."""
     n, d, w = ws.n_vars, ws.degree, ws.weights
-    table: list[list[Block]] = [[] for _ in range(1 << n)]
-    # a chain may step i -> j, and a cycle j -> i, iff w_j | d - w_i
-    steps = [[j for j in range(n) if (d - w[i]) % w[j] == 0] for i in range(n)]
-    # a chain head is a variable with a Fermat block: w | d and d / w >= 2
-    fermat = [_fermat_block(v, ws) for v in range(n)]
+    table: dict[int, list[Block]] = {}
+    steps = [[j for j in range(n) if d - w[i] >= w[j] and (d - w[i]) % w[j] == 0] for i in range(n)]
+    heads = [d % w[v] == 0 and d >= 2 * w[v] for v in range(n)]
 
-    def walk(path: tuple[int, ...], mask: int) -> None:
+    def walk(path: tuple[int, ...], mask: int, tail: tuple[int, ...]) -> None:
+        # tail: the exponents (d - w_prev) / w_cur along the path
         head, last = path[0], path[-1]
-        if len(path) > 1:
-            if fermat[head]:
-                table[mask].append(_chain_block(path, ws))
-            # read backwards from the head, a path that closes is a cycle
-            if head in steps[last] and head == min(path):
-                table[mask].append(_cycle_block(path[:1] + path[:0:-1], ws))
+        if tail and heads[head]:
+            table.setdefault(mask, []).append(Block(BlockKind.CHAIN, path, (d // w[head], *tail)))
+        # read backwards from the head, a path that closes is a cycle
+        if tail and head in steps[last] and head == min(path):
+            exps = ((d - w[last]) // w[head], *tail[::-1])
+            if len(exps) % 2 or min(max(exps[0::2]), max(exps[1::2])) > 1:
+                table.setdefault(mask, []).append(Block(BlockKind.CYCLE, path[:1] + path[:0:-1], exps))
         for nxt in steps[last]:
-            if not mask >> nxt & 1 and (fermat[head] or nxt > head):
-                walk(path + (nxt,), mask | 1 << nxt)
+            if not mask >> nxt & 1 and (heads[head] or nxt > head):
+                walk(path + (nxt,), mask | 1 << nxt, tail + ((d - w[last]) // w[nxt],))
 
     for v in range(n):
-        table[1 << v] = [fermat[v]] if fermat[v] else []
-        walk((v,), 1 << v)
-    for options in table:
-        options.sort(key=lambda b: b.kind is BlockKind.CYCLE)
+        if heads[v]:
+            table[1 << v] = [Block(BlockKind.FERMAT, (v,), (d // w[v],))]
+        walk((v,), 1 << v, ())
     return table
 
 
-def _iter_representations(ws: WeightSystem) -> Iterator[InvertiblePolynomial]:
-    n = ws.n_vars
-    table = _option_table(ws)
-    # the cells with options, grouped by their lowest variable; largest mask
-    # first (and chains first in each cell) puts a valid polynomial first on
-    # every benchmark system, so has_invertible_representation stops there
-    cells: list[list[int]] = [[] for _ in range(n)]
-    for mask in range((1 << n) - 1, 0, -1):
-        if table[mask]:
-            cells[(mask & -mask).bit_length() - 1].append(mask)
+def count_representations(ws: WeightSystem) -> int:
+    """The number of invertible polynomials of the data; builds none."""
+    cells: list[list[tuple[int, int]]] = [[] for _ in range(ws.n_vars)]
+    for cell, options in _option_table(ws).items():
+        cells[(cell & -cell).bit_length() - 1].append((cell, len(options)))
+    memo = {0: 1}
 
-    def assemble(rest: int, chosen: tuple[Block, ...]) -> Iterator[InvertiblePolynomial]:
+    def count(m: int) -> int:
+        if m not in memo:
+            low = cells[(m & -m).bit_length() - 1]
+            memo[m] = sum(size * count(m ^ cell) for cell, size in low if cell & m == cell)
+        return memo[m]
+
+    return count((1 << ws.n_vars) - 1)
+
+
+def iter_representations(ws: WeightSystem) -> Iterator[InvertiblePolynomial]:
+    """Every representation, lazily, in ``_canonical_key`` order."""
+    n = ws.n_vars
+    # a polynomial lists its blocks by increasing key k = rank * n + first variable
+    groups: dict[int, list[tuple]] = {}
+    for mask, options in _option_table(ws).items():
+        for block in options:
+            rank, first = block._sort_key()
+            groups.setdefault(rank * n + first, []).append((block.variables, block.exponents, mask, block))
+    # per key: its first variable's bit, the variables the blocks of larger
+    # keys cover, and its blocks in canonical order
+    entries, above = [], 0
+    for k in sorted(groups, reverse=True):
+        entries.append((k, 1 << k % n, above, [item[2:] for item in sorted(groups[k])]))
+        for item in groups[k]:
+            above |= item[2]
+    # _canonical_key compares kinds by value: chains, cycles, then Fermat (keys below n)
+    entries.sort(key=lambda entry: (entry[0] < n, entry[0]))
+
+    def walk(rest: int, last: int, chosen: tuple[Block, ...]) -> Iterator[InvertiblePolynomial]:
         if not rest:
             poly = InvertiblePolynomial(n, chosen)
-            if not poly.validate():
-                yield poly
+            if poly.validate():
+                raise CrossCheckFailed(f"the option-table walk built {poly}, violating {poly.validate()}")
+            yield poly
             return
-        for cell in cells[(rest & -rest).bit_length() - 1]:
-            if cell & rest == cell:
-                for block in table[cell]:
-                    yield from assemble(rest ^ cell, chosen + (block,))
+        for key, bit, reach, group in entries:
+            if key > last and rest & bit:
+                for mask, block in group:
+                    if mask & rest == mask and not (rest ^ mask) & ~reach:
+                        yield from walk(rest ^ mask, key, chosen + (block,))
 
-    yield from assemble((1 << n) - 1, ())
+    yield from walk((1 << n) - 1, -1, ())
 
 
 def enumerate_representations(ws: WeightSystem) -> list[InvertiblePolynomial]:
-    """All invertible polynomials P with exponent_matrix(P) . w = d . 1.
-
-    Sorted by a canonical key, so the output order is deterministic; the walk
-    yields no duplicates (set partitions are distinct bitmasks and a cell
-    lists each block once).  An empty list is a valid answer.
-    """
-    return sorted(_iter_representations(ws), key=_canonical_key)
+    """All invertible polynomials P with exponent_matrix(P) . w = d . 1, in
+    canonical-key order and without duplicates.  An empty list is a valid
+    answer."""
+    return list(iter_representations(ws))
 
 
 def has_invertible_representation(ws: WeightSystem) -> bool:
-    """Whether the data carries at least one invertible polynomial.
-
-    Early-exits on the first hit; degenerate data (all weights equal, say)
-    can admit hundreds of thousands of representations, so callers that only
-    need existence must not enumerate them all.
-    """
-    return next(_iter_representations(ws), None) is not None
+    """Whether the data carries an invertible polynomial, read off the count:
+    degenerate data can admit hundreds of thousands of them."""
+    return count_representations(ws) > 0
 
 
 def _canonical_key(poly: InvertiblePolynomial):
-    return tuple(
-        (block.kind.value, block.variables, block.exponents) for block in poly.blocks
-    )
-
-
-def _exponent_tuple(poly: InvertiblePolynomial) -> tuple[int, ...]:
-    return tuple(poly.exponent_of(i) for i in range(poly.n_vars))
+    return tuple((block.kind.value, block.variables, block.exponents) for block in poly.blocks)
 
 
 def pick_chain_cycle(polys: Iterable[InvertiblePolynomial]) -> InvertiblePolynomial | None:
@@ -137,19 +136,19 @@ def pick_chain_cycle(polys: Iterable[InvertiblePolynomial]) -> InvertiblePolynom
     so the order of ``polys`` does not matter."""
     shape = [(BlockKind.CHAIN, {0, 1}), (BlockKind.CYCLE, {2, 3, 4})]
     matches = (p for p in polys if [(b.kind, set(b.variables)) for b in p.blocks] == shape)
-    return min(matches, key=lambda p: (_exponent_tuple(p), _canonical_key(p)), default=None)
+    return min(matches, key=lambda p: (tuple(map(p.exponent_of, range(5))), _canonical_key(p)), default=None)
 
 
 def find_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
     """The representation with a 2-chain on variables 0, 1 and a 3-cycle on
-    2, 3, 4, tie-broken by the smallest per-variable exponent tuple.
-
-    Raises :class:`NoRepresentation` when no such polynomial matches the
-    weights.
-    """
+    2, 3, 4, tie-broken by the smallest per-variable exponent tuple; table
+    blocks are valid, so it is picked from the pairs of the two cells.
+    Raises :class:`NoRepresentation` when no such polynomial matches."""
     if ws.n_vars != 5:
         raise NoRepresentation("chain-cycle search expects a five-variable system")
-    chosen = pick_chain_cycle(_iter_representations(ws))
+    table = _option_table(ws)
+    pairs = product(table.get(0b00011, ()), table.get(0b11100, ()))
+    chosen = pick_chain_cycle(InvertiblePolynomial(5, pair) for pair in pairs)
     if chosen is None:
         raise NoRepresentation(f"no chain-cycle representation for {ws}")
     return chosen

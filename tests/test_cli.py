@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bhlink import WeightSystem, cli, duality, find_chain_cycle
+import pytest
+
+from bhlink import WeightSystem, cli, duality, enumerate_representations, find_chain_cycle
 from bhlink.cli import main
-from bhlink.errors import PreconditionFailed
+from bhlink.errors import NonPositiveWeights, PreconditionFailed
 from bhlink.fixture import ROWS
 
 
@@ -184,6 +186,36 @@ def test_batch_no_representation_row(tmp_path, capsys):
     assert record["n_reps"] == "0"
     assert record["dual_w"] == ""
     assert record["b3"] == "138"
+
+
+def test_batch_dual_falls_back_past_a_degenerate_first(tmp_path, capsys):
+    # no chain-cycle; the first representation in canonical order (BP-Chain)
+    # has a dual with a non-positive weight, so the row reports the second
+    # (BP-Cycle): the lazy walk must go on past the first
+    ws = WeightSystem((12, 22, 6, 54, 33), 66)
+    first, second = enumerate_representations(ws)
+    with pytest.raises(NonPositiveWeights):
+        duality.checked_dual(first, ws)
+    assert duality.checked_dual(second, ws).weights.weights == (6, 22, 30, 36, 33)
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    _write_rows(src, [(ws.weights, ws.degree)])
+    assert main(["batch", str(src), str(dst)]) == 0
+    capsys.readouterr()
+    assert dst.read_bytes() == (
+        b"w0,w1,w2,w3,w4,d,b3,torsion,mu,index,wellformed,se_verdict,n_reps,dual_w,dual_d,"
+        b"dual_torsion,dual_mu,dual_se,twin,error\r\n"
+        b"12,22,6,54,33,66,0,1,20,61,false,PositiveRicciOnly,2,6 22 30 36 33,66,1,20,"
+        b"PositiveRicciOnly,true,\r\n"
+    )
+
+
+def test_pipeline_over_budget_exit_2(capsys):
+    # (1^7; 3) has 63,840 representations: refused from the count, at once
+    assert main(["pipeline", "-w", "1,1,1,1,1,1,1", "-d", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "63840" in captured.err and str(duality.PIPELINE_BUDGET) in captured.err
 
 
 def test_verify_table(capsys):

@@ -20,9 +20,11 @@ from bhlink import (
     solve_weights,
     swap_twin,
 )
+from bhlink import duality
 from bhlink.duality import checked_dual
 from bhlink.errors import BhlinkError, CrossCheckFailed, PreconditionFailed
 from bhlink.polynomial import Block, BlockKind, InvertiblePolynomial
+from bhlink.representation import count_representations
 
 from generators import index_one_chain_cycles, permute_instance
 from test_polynomial import chain_cycle_881
@@ -253,6 +255,20 @@ def test_pipeline_aggregates_per_representation_errors():
     assert errored and fine
     assert all(r.dual_profile is None for r in errored)
     assert all("NonPositiveWeights" in r.error for r in errored)
+
+
+def test_pipeline_budget_refuses_before_building(monkeypatch):
+    # (1^6; 3) still runs; (1^7; 3) is refused
+    assert count_representations(WeightSystem((1,) * 6, 3)) == 6_600 <= duality.PIPELINE_BUDGET
+    assert count_representations(WeightSystem((1,) * 7, 3)) == 63_840 > duality.PIPELINE_BUDGET
+
+    def unexpected(*args):
+        raise AssertionError("built past the budget")
+
+    monkeypatch.setattr(duality, "enumerate_representations", unexpected)
+    monkeypatch.setattr(duality, "homology_profile", unexpected)
+    with pytest.raises(PreconditionFailed, match=f"63840 .*budget of {duality.PIPELINE_BUDGET}"):
+        pipeline(WeightSystem((1,) * 7, 3))
 
 
 def test_pipeline_whole_fixture():

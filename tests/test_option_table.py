@@ -1,4 +1,4 @@
-"""The option-table enumeration against the permutation-scan oracle."""
+"""The option-table count and walk against the permutation-scan oracle."""
 
 import random
 
@@ -12,12 +12,18 @@ from bhlink import (
     find_chain_cycle,
     has_invertible_representation,
 )
-from bhlink.errors import NoRepresentation
-from bhlink.polynomial import InvertiblePolynomial
-from bhlink.representation import _iter_representations, _option_table, pick_chain_cycle
+from bhlink.errors import CrossCheckFailed, NoRepresentation
+from bhlink.polynomial import Block, InvertiblePolynomial
+from bhlink.representation import (
+    _canonical_key,
+    _option_table,
+    count_representations,
+    iter_representations,
+    pick_chain_cycle,
+)
 
 from generators import random_weight_system
-from oracles import oracle_chain_cycle, oracle_representations
+from oracles import _block_options, oracle_chain_cycle, oracle_representations
 
 # all-equal weights (780 representations, tied chain-cycle orientations), the
 # deep-torsion family (2,2,2,2,w; 2w) and three wide generated systems
@@ -43,11 +49,13 @@ def assert_matches_oracle(ws):
     expected = oracle_representations(ws)
     reps = enumerate_representations(ws)
     assert reps == expected
+    # the walk yields in canonical order, so enumeration needs no sort
+    assert list(iter_representations(ws)) == sorted(expected, key=_canonical_key)
+    assert count_representations(ws) == len(expected)
     # the walk never yields a polynomial twice, so enumeration needs no set
-    yielded = list(_iter_representations(ws))
-    assert len(yielded) == len(set(yielded))
+    assert len(reps) == len(set(reps))
     # every block once: a cycle is not listed again under another rotation
-    assert all(len(set(options)) == len(options) for options in _option_table(ws))
+    assert all(len(set(options)) == len(options) for options in _option_table(ws).values())
     assert has_invertible_representation(ws) == bool(expected)
     choice = chain_cycle_outcome(oracle_chain_cycle, ws)
     assert chain_cycle_outcome(find_chain_cycle, ws) == choice
@@ -71,17 +79,70 @@ def test_enumeration_matches_oracle_on_named_systems(weights, degree):
     assert_matches_oracle(WeightSystem(weights, degree))
 
 
+# singular even cycles beside valid shapes: w_i + w_j = d gives a 2-cycle
+# with exponents 1, 1, which validate() rejects as EvenCycleDegenerate
+SINGULAR_2_CYCLES = [((11, 24, 4, 22, 20), 44), ((147, 35, 26, 26, 7), 182), ((21, 7, 4, 4, 12), 28)]
 
-def test_existence_check_validates_one_candidate(monkeypatch):
-    # each system has singular even cycles (w_i + w_j = d gives a 2-cycle
-    # with exponents 1, 1) beside valid shapes; the search order must reach
-    # a valid polynomial first
+
+def test_existence_check_validates_no_polynomial(monkeypatch):
+    # existence reads the count, so it builds and validates no polynomial
     calls = []
     validate = InvertiblePolynomial.validate
     monkeypatch.setattr(
         InvertiblePolynomial, "validate", lambda self: calls.append(self) or validate(self)
     )
-    systems = [((11, 24, 4, 22, 20), 44), ((147, 35, 26, 26, 7), 182), ((21, 7, 4, 4, 12), 28)]
-    for weights, degree in systems:
+    for weights, degree in SINGULAR_2_CYCLES:
         assert has_invertible_representation(WeightSystem(weights, degree))
-    assert len(calls) == len(systems)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "n, degree, count",
+    [(5, 3, 780), (5, 4, 780), (5, 5, 780), (6, 3, 6_600), (7, 3, 63_840), (8, 3, 693_840)],
+)
+def test_all_equal_counts(n, degree, count):
+    ws = WeightSystem((1,) * n, degree)
+    assert count_representations(ws) == count
+    if n <= 6:
+        assert len(enumerate_representations(ws)) == count
+
+
+def unchecked_system(weights, degree):
+    """A WeightSystem that skips the constructor's checks."""
+    ws = object.__new__(WeightSystem)
+    object.__setattr__(ws, "weights", weights)
+    object.__setattr__(ws, "degree", degree)
+    return ws
+
+
+def block_violations(block):
+    """validate() on the block alone, its variables relabelled 0..k-1 in order."""
+    labels = {v: i for i, v in enumerate(sorted(block.variables))}
+    alone = Block(block.kind, tuple(labels[v] for v in block.variables), block.exponents)
+    return InvertiblePolynomial(len(labels), (alone,)).validate()
+
+
+@pytest.mark.parametrize(
+    "ws",
+    [WeightSystem(w, d) for w, d in NAMED + SINGULAR_2_CYCLES]
+    # weights equal to d step to every variable with exponent 0 (and close
+    # 3-cycles of them), a weight above d with a negative one; the
+    # constructor rejects both, the table does not rely on that
+    + [unchecked_system((1, 1, 2, 2, 2), 2), unchecked_system((1, 1, 2, 2, 4), 2)],
+    ids=str,
+)
+def test_table_holds_exactly_the_valid_blocks(ws):
+    table = _option_table(ws)
+    for mask in range(1, 1 << ws.n_vars):
+        cell = [v for v in range(ws.n_vars) if mask >> v & 1]
+        valid = [b for b in _block_options(cell, ws) if not block_violations(b)]
+        assert sorted(table.get(mask, []), key=repr) == sorted(valid, key=repr)
+    assert all(not block_violations(b) for options in table.values() for b in options)
+
+
+def test_walk_validates_what_it_yields(monkeypatch):
+    # the in-walk validity rules and validate() are two routes: a
+    # disagreement is a failed cross-check, not a silent skip
+    monkeypatch.setattr(InvertiblePolynomial, "validate", lambda self: ["Injected"])
+    with pytest.raises(CrossCheckFailed, match="Injected"):
+        next(iter_representations(WeightSystem((1,) * 5, 3)))
