@@ -2,7 +2,13 @@
 golden-table verification.
 
 Exit codes: 0 success, 1 table verification mismatch, 2 invalid input,
-3 internal cross-check failure.
+3 internal cross-check failure.  The commands raise; :func:`main` alone maps
+every failure to its one stderr line and exit code.  An internal failure is
+reported today by where it happens: in the source profile of ``analyze`` or
+``pipeline``, exit 3; in the dual of one ``pipeline`` representation, that
+representation's ``error`` field, exit 0; in a ``batch`` row, that row's
+``error`` column, exit 0; in ``verify-table``, a FAIL line, exit 1.  Exit 3
+on every command is the planned contract change (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -52,16 +58,6 @@ class _InputError(Exception):
     pass
 
 
-def _failure_exit(exc: Exception) -> int:
-    """Report an ``analyze``/``pipeline`` failure on stderr and pick its exit
-    code: 3 for a failed internal cross-check, 2 for invalid input."""
-    if isinstance(exc, (CrossCheckFailed, NonIntegralC)):
-        print(f"cross-check failure: {exc}", file=sys.stderr)
-        return 3
-    print(f"error: {exc}", file=sys.stderr)
-    return 2
-
-
 def _parse_weights(text: str) -> tuple[int, ...]:
     try:
         weights = tuple(int(part) for part in text.replace(" ", "").split(",") if part)
@@ -106,11 +102,7 @@ def _analyze_record(ws: WeightSystem) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        ws = _build_system(_parse_weights(args.weights), args.degree)
-        record = _analyze_record(ws)
-    except (_InputError, BhlinkError) as exc:
-        return _failure_exit(exc)
+    record = _analyze_record(_build_system(_parse_weights(args.weights), args.degree))
     if args.json:
         print(json.dumps(record, indent=2))
         return 0
@@ -129,11 +121,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    try:
-        ws = _build_system(_parse_weights(args.weights), args.degree)
-        reports = pipeline(ws)
-    except (_InputError, BhlinkError) as exc:
-        return _failure_exit(exc)
+    ws = _build_system(_parse_weights(args.weights), args.degree)
+    reports = pipeline(ws)
     if args.json:
         payload = []
         for rep in reports:
@@ -195,8 +184,8 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
     out = dict(record)
     # fields past the header's end; dropped so the output stays rectangular
     extra = out.pop(None, None)
-    for column in BATCH_OUTPUT_COLUMNS:
-        out.setdefault(column, "")
+    # an output column already in the input is overwritten, never passed on
+    out.update(dict.fromkeys(BATCH_OUTPUT_COLUMNS, ""))
     try:
         if extra:
             raise ValueError(f"{len(extra)} more fields than the header")
@@ -236,7 +225,7 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
                     "dual_d": str(dual.weights.degree),
                     "dual_torsion": dual.profile.torsion_str(),
                     "dual_mu": str(dual.profile.mu),
-                    "dual_se": se_certificate(dual.weights).verdict.value,
+                    "dual_se": dual.verdict.verdict.value,
                     "twin": str(is_twin(profile, dual.profile)).lower(),
                 }
             )
@@ -272,19 +261,14 @@ def _read_csv(path: Path) -> tuple[list[str], list[dict[str, str]]]:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     required = ["w0", "w1", "w2", "w3", "w4", "d"]
-    try:
-        header, records = _read_csv(Path(args.input))
-        if header[: len(required)] != required:
-            raise _InputError(f"malformed CSV header {header}, expected it to start with {required}")
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    header, records = _read_csv(Path(args.input))
+    if header[: len(required)] != required:
+        raise _InputError(f"malformed CSV header {header}, expected it to start with {required}")
     # open the output before any row is computed, so a bad path fails fast
     try:
         output = Path(args.output).open("w", newline="", encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise _InputError(f"cannot write {args.output}: {exc.strerror}")
 
     with output:
         # a pool forks all its workers at once: never more than rows or CPUs
@@ -373,7 +357,7 @@ def verify_row(row: FixtureRow) -> tuple[bool, str]:
             problems.append(f"dual b3 {profile.b3} != 0")
         if dual.skipped:
             problems.append(f"closed forms not applicable: {dual.skipped}")
-        if se_certificate(dual_ws).verdict is not Verdict.SASAKI_EINSTEIN:
+        if dual.verdict.verdict is not Verdict.SASAKI_EINSTEIN:
             problems.append("dual not certified Sasaki-Einstein")
         if problems:
             return False, "; ".join(problems)
@@ -386,11 +370,7 @@ def verify_row(row: FixtureRow) -> tuple[bool, str]:
 
 
 def cmd_verify_table(args: argparse.Namespace) -> int:
-    try:
-        rows = _load_fixture_csv(Path(args.fixture)) if args.fixture else list(ROWS)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = _load_fixture_csv(Path(args.fixture)) if args.fixture else list(ROWS)
     passed = 0
     for row in rows:
         ok, detail = verify_row(row)
@@ -445,6 +425,12 @@ def main(argv: list[str] | None = None) -> int:
         # so the flush at exit cannot fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before all output was written", file=sys.stderr)
+        return 2
+    except (CrossCheckFailed, NonIntegralC) as exc:
+        print(f"cross-check failure: {exc}", file=sys.stderr)
+        return 3
+    except (_InputError, BhlinkError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return code
 

@@ -182,9 +182,8 @@ def chain_cycle_closed_forms(
     weights = tuple(x // joint for x in raw)
     degree = raw_degree // joint
 
+    # exact: v1 a1 = m2 - 1 was checked above
     mu = ((m2 - 1) ** 2 // v1 + 1) * (m3 - 1)
-    if (m2 - 1) ** 2 % v1 != 0:
-        raise PreconditionFailed(f"(m2 - 1)^2 is not divisible by v1 = {v1}")
 
     g = gcd(a1, m3)
     if g == 1:
@@ -262,33 +261,38 @@ class DualReport:
 
 
 class CheckedDual(NamedTuple):
-    """A transposed dual and its profile; ``skipped`` says why no closed-form
-    comparison ran, and is None when it ran and passed."""
+    """A transposed dual, its profile and its Einstein verdict; ``skipped``
+    says why no closed-form comparison ran, and is None when it ran and
+    passed."""
 
     polynomial: InvertiblePolynomial
     weights: WeightSystem
     profile: HomologyProfile
+    verdict: SasakiVerdict
     skipped: str | None
 
 
 def checked_dual(poly: InvertiblePolynomial, ws: WeightSystem) -> CheckedDual:
-    """Transpose ``poly`` (a representation of ``ws``) and profile the dual.
+    """Transpose ``poly`` (a representation of ``ws``), profile the dual and
+    certify it.
 
     This is the one place a dual is compared with the closed forms: for a
     2-chain plus 3-cycle inside their hypotheses a disagreement raises
-    :class:`CrossCheckFailed`.
+    :class:`CrossCheckFailed`.  It is also the one place a dual gets its
+    :func:`se_certificate` verdict.
     """
     dual_poly, dual_ws = bh_dual(poly)
     dual_profile = homology_profile(dual_ws)
+    checked = CheckedDual(dual_poly, dual_ws, dual_profile, se_certificate(dual_ws), None)
     blocks = {b.kind: b.variables for b in poly.blocks}
     chain, cycle = blocks.get(BlockKind.CHAIN, ()), blocks.get(BlockKind.CYCLE, ())
     if len(poly.blocks) != 2 or len(chain) != 2 or len(cycle) != 3:
-        return CheckedDual(dual_poly, dual_ws, dual_profile, "not a 2-chain plus 3-cycle")
+        return checked._replace(skipped="not a 2-chain plus 3-cycle")
     try:
         split = ws.split((chain, tuple(sorted(cycle))))
         prediction = chain_cycle_closed_forms(split, tuple(map(poly.exponent_of, range(5))))
     except (NoSplit, PreconditionFailed) as exc:
-        return CheckedDual(dual_poly, dual_ws, dual_profile, str(exc))
+        return checked._replace(skipped=str(exc))
     if (
         sorted(prediction.weights) != sorted(dual_ws.weights)
         or prediction.degree != dual_ws.degree
@@ -302,7 +306,7 @@ def checked_dual(poly: InvertiblePolynomial, ws: WeightSystem) -> CheckedDual:
             f"torsion={prediction.torsion}; computed ({dual_ws.weights}; {dual_ws.degree}), "
             f"mu={dual_profile.mu}, torsion={dual_profile.torsion}, b3={dual_profile.b3}"
         )
-    return CheckedDual(dual_poly, dual_ws, dual_profile, None)
+    return checked
 
 
 def pipeline(ws: WeightSystem) -> list[DualReport]:
@@ -332,7 +336,7 @@ def pipeline(ws: WeightSystem) -> list[DualReport]:
                 dual_weights=dual.weights,
                 dual_profile=dual.profile,
                 twin=is_twin(source_profile, dual.profile),
-                dual_verdict=se_certificate(dual.weights),
+                dual_verdict=dual.verdict,
             )
         except BhlinkError as exc:
             report = DualReport(*source, error=f"{type(exc).__name__}: {exc}")

@@ -130,16 +130,13 @@ class WeightSystem:
         m2_values = {d // gcd(d, self.weights[i]) for i in g3}
         if len(m2_values) != 1:
             raise NoSplit(f"u_i disagree on the m3 group: {sorted(m2_values)}")
+        # m2 = d / gcd(d, w_i) divides d, and m3 = gcd(d, w_i) divides w_i on g3
         m2 = m2_values.pop()
-        if d % m2 != 0:
-            raise NoSplit(f"{m2} does not divide the degree {d}")
         m3 = d // m2
         if gcd(m2, m3) != 1:
             raise NoSplit(f"gcd(m2, m3) = gcd({m2}, {m3}) != 1")
         v = [0] * 5
         for i in g3:
-            if self.weights[i] % m3 != 0:
-                raise NoSplit(f"m3 = {m3} does not divide w_{i} = {self.weights[i]}")
             v[i] = self.weights[i] // m3
         for i in g2:
             if self.weights[i] % m2 != 0:

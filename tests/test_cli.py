@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bhlink import WeightSystem, cli, duality, enumerate_representations, find_chain_cycle
+from bhlink import WeightSystem, cli, duality, enumerate_representations, find_chain_cycle, invariants
 from bhlink.cli import main
 from bhlink.errors import NonPositiveWeights, PreconditionFailed
 from bhlink.fixture import ROWS
@@ -207,6 +207,35 @@ def test_batch_dual_falls_back_past_a_degenerate_first(tmp_path, capsys):
         b"12,22,6,54,33,66,0,1,20,61,false,PositiveRicciOnly,2,6 22 30 36 33,66,1,20,"
         b"PositiveRicciOnly,true,\r\n"
     )
+
+
+@pytest.mark.parametrize("command", ["analyze", "pipeline"])
+def test_source_cross_check_failure_exit_3(capsys, monkeypatch, command):
+    # a product-formula Milnor number off by one disagrees with the divisor
+    # root count inside homology_profile of the source
+    real = invariants.milnor_number
+    monkeypatch.setattr(invariants, "milnor_number", lambda ws: real(ws) + 1)
+    assert main([command, "-w", "15,35,14,7,35", "-d", "105"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("cross-check failure: Milnor mismatch")
+
+
+def test_batch_overwrites_output_columns_in_the_input(tmp_path, capsys):
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text(
+        "w0,w1,w2,w3,w4,d,ke_status,error,dual_w\n"
+        "73,73,95,45,80,365,KE,stale error,stale\n"
+        "1,1,1,1,4,7,,,9 9 9 9 9\n"  # no invertible representation
+    )
+    assert main(["batch", str(src), str(dst)]) == 0
+    assert "(0 with errors)" in capsys.readouterr().out
+    with dst.open(newline="") as handle:
+        dual, none = csv.DictReader(handle)
+    assert dual["ke_status"] == "KE" and dual["error"] == ""
+    assert sorted(map(int, dual["dual_w"].split())) == sorted(ROWS[0].dual)
+    assert none["n_reps"] == "0" and none["dual_w"] == "" and none["error"] == ""
 
 
 def test_pipeline_over_budget_exit_2(capsys):
