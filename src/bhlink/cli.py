@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
@@ -59,8 +60,11 @@ class _InputError(Exception):
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
+    fields = text.replace(" ", "").split(",")
+    if "" in fields:
+        raise _InputError(f"weight field {fields.index('') + 1} of {text!r} is blank")
     try:
-        weights = tuple(int(part) for part in text.replace(" ", "").split(",") if part)
+        weights = tuple(int(part) for part in fields)
     except ValueError as exc:
         raise _InputError(f"weights must be integers: {exc}")
     if not 5 <= len(weights) <= 8:
@@ -264,6 +268,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
     header, records = _read_csv(Path(args.input))
     if header[: len(required)] != required:
         raise _InputError(f"malformed CSV header {header}, expected it to start with {required}")
+    repeated = sorted({column for column in header if header.count(column) > 1})
+    if repeated:
+        raise _InputError(f"malformed CSV header {header}, repeated column {', '.join(repeated)}")
     # open the output before any row is computed, so a bad path fails fast
     try:
         output = Path(args.output).open("w", newline="", encoding="utf-8")
@@ -380,6 +387,17 @@ def cmd_verify_table(args: argparse.Namespace) -> int:
     return 0 if passed == len(rows) else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        # the message argparse gives for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bhlink",
@@ -394,31 +412,37 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("-w", "--weights", required=True, help="comma-separated weights")
     analyze.add_argument("-d", "--degree", type=int, required=True)
     analyze.add_argument("--json", action="store_true")
-    analyze.set_defaults(func=cmd_analyze)
+    analyze.set_defaults(func="cmd_analyze")
 
     pipe = sub.add_parser("pipeline", help="dual report for every representation")
     pipe.add_argument("-w", "--weights", required=True, help="comma-separated weights")
     pipe.add_argument("-d", "--degree", type=int, required=True)
     pipe.add_argument("--json", action="store_true")
-    pipe.set_defaults(func=cmd_pipeline)
+    pipe.set_defaults(func="cmd_pipeline")
 
     batch = sub.add_parser("batch", help="process a CSV of weight systems")
     batch.add_argument("input", help="CSV with header w0,w1,w2,w3,w4,d[,ke_status]")
     batch.add_argument("output", help="output CSV path")
-    batch.add_argument("--jobs", type=int, default=1)
-    batch.set_defaults(func=cmd_batch)
+    batch.add_argument("--jobs", type=_positive_int, default=1)
+    batch.set_defaults(func="cmd_batch")
 
     verify = sub.add_parser("verify-table", help="check the embedded golden table")
     verify.add_argument("--fixture", help="override the embedded table with a CSV")
-    verify.set_defaults(func=cmd_verify_table)
+    verify.set_defaults(func="cmd_verify_table")
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        code = args.func(args)
+        # the command is looked up by name at call time, so a replaced cmd_* runs
+        code = globals()[args.func](args)
         sys.stdout.flush()
     except BrokenPipeError:
         # stdout was closed early (say, piped into head); point it at devnull

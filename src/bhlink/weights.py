@@ -1,4 +1,4 @@
-"""Weight systems (w; d): solving A.w = d.1, reduction, index, well-formedness.
+"""Weight systems (w; d): A.w = d.1 solved per block, reduction, index, well-formedness.
 
 A weight system pairs a vector of positive integer weights with the common
 degree of the defining monomials.  Everything downstream consumes only the
@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
-from .errors import NonPositiveWeights, NoSplit, SingularSystem
-from .polynomial import InvertiblePolynomial
+from .errors import CrossCheckFailed, NonPositiveWeights, NoSplit, SingularSystem
+from .polynomial import Block, BlockKind, InvertiblePolynomial
 
 __all__ = [
     "WeightSystem",
@@ -158,37 +158,52 @@ def wellformed_space(weights: tuple[int, ...] | list[int]) -> bool:
     return True
 
 
+def _block_ray(block: Block) -> tuple[list[int], int]:
+    """(N, D) with N / D = A_block^-1 . 1: (n, q) <- (q - n, q a) from (0, 1)
+    runs forwards over a chain (a Fermat block is one of length one) to
+    N_last / D, then N_{j-1} = D - a_j N_j; backwards over a cycle, to N_0 and
+    prod(a) with D = prod(a) - (-1)^L, then N_{j+1} = D - a_j N_j.  No division.
+    """
+    exps, cycle = block.exponents, block.kind is BlockKind.CYCLE
+    num, den = 0, 1
+    for a in exps[::-1] if cycle else exps:
+        num, den = den - num, den * a
+    if cycle:
+        den -= (-1) ** len(exps)
+    nums = [num]
+    for a in exps[:-1] if cycle else exps[:0:-1]:
+        nums.append(den - a * nums[-1])
+    return (nums if cycle else nums[::-1]), den
+
+
 def solve_weights(poly: InvertiblePolynomial) -> WeightSystem:
     """The unique primitive positive solution of A.w = d.(1, ..., 1).
 
-    Fraction-free Bareiss elimination of [A | 1] keeps every entry an
-    integer (each is a nonzero multiple of the Gauss entry, so the pivot
-    rows are the same); integer back-substitution then gives det A . A^-1 . 1,
-    the ray (w; d) up to sign and a joint gcd.  Raises
-    :class:`SingularSystem` when det A = 0 and :class:`NonPositiveWeights`
-    when the ray has a non-positive or degenerate entry.
+    :func:`_block_ray` solves each block of A, d is the lcm of the reduced
+    denominators and w_i = x_i . d; a block failing a_j w_j + w_link = d
+    (w_link: chain predecessor, cycle successor or 0) raises
+    :class:`CrossCheckFailed`.  Raises :class:`SingularSystem` when det A = 0
+    (a block's D is 0, or a variable is in no block) and
+    :class:`NonPositiveWeights` for a non-positive or degenerate ray.
     """
-    n = poly.n_vars
-    rows = [row + [1] for row in poly.exponent_matrix()]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
+    solved, d = [], 1
+    for block in poly.blocks:
+        nums, den = _block_ray(block)
+        if den == 0:
             raise SingularSystem("exponent matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        for row in rows[col + 1 :]:
-            factor = row[col]
-            row[col:] = [(x * top[col] - factor * y) // det for x, y in zip(row[col:], top[col:])]
-        det = top[col]
-
-    # the last pivot is +-det A; the triangle gives det . A^-1 . 1 exactly
-    ray = [0] * n
-    for r in range(n - 1, -1, -1):
-        rest = sum(rows[r][c] * ray[c] for c in range(r + 1, n))
-        ray[r] = (det * rows[r][n] - rest) // rows[r][r]
-    g = gcd(*ray, det) * (1 if det > 0 else -1)
-    ints = [x // g for x in ray + [det]]
-    if any(x <= 0 for x in ints[:-1]):
-        raise NonPositiveWeights(f"weight ray {ints[:-1]} has a non-positive entry")
-    return WeightSystem(tuple(ints[:-1]), ints[-1])
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        solved.append((block, [num // g for num in nums], den // g))
+        d = lcm(d, den // g)
+    ray = [None] * poly.n_vars
+    for block, nums, den in solved:
+        ws = [num * (d // den) for num in nums]
+        links = ws[1:] + ws[:1] if block.kind is BlockKind.CYCLE else [0] + ws[:-1]
+        for v, a, w, link in zip(block.variables, block.exponents, ws, links):
+            if a * w + link != d:
+                raise CrossCheckFailed(f"block {block} solved as {ws} fails A.w = {d}.1")
+            ray[v] = w
+    if None in ray:
+        raise SingularSystem("exponent matrix is singular")
+    if min(ray) <= 0:
+        raise NonPositiveWeights(f"weight ray {ray} has a non-positive entry")
+    return WeightSystem(tuple(ray), d)

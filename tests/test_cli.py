@@ -491,3 +491,39 @@ def test_verify_table_fails_rows_outside_the_closed_forms(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "0/75 rows verified" in out
     assert "closed forms not applicable: injected refusal" in out
+
+
+def test_replaced_command_runs_after_the_parser_is_built(capsys, monkeypatch):
+    # the parser is built once per process; the command is found by name at call time
+    assert main(["analyze", "-w", "1,1,1,1,1", "-d", "2"]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "build_parser", None)
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: calls.append(args.degree) or 7)
+    assert main(["analyze", "-w", "1,1,1,1,1", "-d", "2"]) == 7
+    assert calls == [2]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("weights, field", [("1,,1,1,1,1", 2), ("1,1,1,1,1,", 6)])
+def test_blank_weight_field_exit_2(capsys, weights, field):
+    assert main(["analyze", "-w", weights, "-d", "5"]) == 2
+    assert f"weight field {field} of {weights!r} is blank" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_batch_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("w0,w1,w2,w3,w4,d\n1,1,1,1,1,2\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["batch", str(src), str(dst), "--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not dst.exists()
+
+
+def test_batch_repeated_header_column_exit_2(tmp_path, capsys):
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("w0,w1,w2,w3,w4,d,error,error\n1,1,1,1,1,2,,\n")
+    assert main(["batch", str(src), str(dst)]) == 2
+    assert "repeated column error" in _single_error_line(capsys)
+    assert not dst.exists()

@@ -1,17 +1,19 @@
-"""The integer (Bareiss) weight solve against Gauss-Jordan over Fraction."""
+"""The per-block integer weight solve against Gauss-Jordan over Fraction."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhlink import WeightSystem, enumerate_representations, solve_weights
-from bhlink.errors import BhlinkError
+from bhlink import WeightSystem, enumerate_representations, solve_weights, weights
+from bhlink.errors import BhlinkError, CrossCheckFailed, NonPositiveWeights, SingularSystem
 from bhlink.fixture import ROWS
 from bhlink.polynomial import Block, BlockKind, InvertiblePolynomial
 
 from generators import random_weight_system, theorem_population
 from oracles import oracle_solve_weights
+from test_polynomial import chain_cycle_881
 
 
 def outcome(fn, poly):
@@ -51,6 +53,60 @@ def block_polynomials(draw):
 @given(poly=block_polynomials())
 def test_solve_matches_fraction_oracle(poly):
     assert outcome(solve_weights, poly) == outcome(oracle_solve_weights, poly)
+
+
+CYCLE, CHAIN, FERMAT = BlockKind.CYCLE, BlockKind.CHAIN, BlockKind.FERMAT
+NAMED = {
+    # D = 0 * 0 - 1 = -1: nonsingular, though a step dividing by some a_j would fail
+    "2-cycle (0, 0)": (
+        InvertiblePolynomial(2, (Block(CYCLE, (0, 1), (0, 0)),)),
+        (NonPositiveWeights, "every weight must be smaller than the degree: (1, 1), d=1"),
+    ),
+    # all ones on a 4-cycle: D = 1 - 1 = 0, behind a nonsingular Fermat block
+    "degenerate 4-cycle": (
+        InvertiblePolynomial(5, (Block(FERMAT, (0,), (3,)), Block(CYCLE, (1, 2, 3, 4), (1,) * 4))),
+        (SingularSystem, "exponent matrix is singular"),
+    ),
+    # x = (1/2, 1, (1 - 1) / 1) puts a 0 in the ray
+    "chain with tail exponent 1": (
+        InvertiblePolynomial(3, (Block(FERMAT, (0,), (2,)), Block(CHAIN, (1, 2), (1, 1)))),
+        (NonPositiveWeights, "weight ray [1, 2, 0] has a non-positive entry"),
+    ),
+    # an all-zero row of A
+    "variable in no block": (
+        InvertiblePolynomial(3, (Block(FERMAT, (0,), (2,)), Block(FERMAT, (2,), (3,)))),
+        (SingularSystem, "exponent matrix is singular"),
+    ),
+    # D = 2^4 3^3 4 - 1 = 1727
+    "8-cycle": (
+        InvertiblePolynomial(8, (Block(CYCLE, tuple(range(8)), (2, 3, 2, 3, 2, 3, 2, 4)),)),
+        WeightSystem((691, 345, 692, 343, 698, 331, 734, 259), 1727),
+    ),
+    "chain-cycle 881": (chain_cycle_881(), WeightSystem((881, 881, 465, 99, 318), 2643)),
+    "chain-cycle 881 transposed": (
+        chain_cycle_881().transpose(),
+        WeightSystem((881, 2643, 1014, 216, 534), 5286),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_block_solves(name):
+    poly, expected = NAMED[name]
+    assert outcome(solve_weights, poly) == outcome(oracle_solve_weights, poly) == expected
+
+
+def test_wrong_block_ray_fails_the_substitution_check(monkeypatch):
+    real = weights._block_ray
+
+    def wrong(block):
+        nums, den = real(block)
+        return [2 * nums[0]] + nums[1:], den
+
+    monkeypatch.setattr(weights, "_block_ray", wrong)
+    for poly in (chain_cycle_881(), chain_cycle_881().transpose()):
+        with pytest.raises(CrossCheckFailed):
+            solve_weights(poly)
 
 
 def _corpus_systems():
