@@ -32,6 +32,9 @@ from .representation import count_representations, find_chain_cycle, iter_repres
 from .representation import has_invertible_representation
 from .weights import WeightSystem
 
+# the failures that mean bhlink computed something wrong, not that the input is bad
+_INTERNAL = (CrossCheckFailed, NonIntegralC)
+
 BATCH_OUTPUT_COLUMNS = [
     "b3",
     "torsion",
@@ -219,7 +222,7 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
         for chosen in chain(first, iter_representations(ws)):
             try:
                 dual = checked_dual(chosen, ws)
-            except CrossCheckFailed:
+            except _INTERNAL:
                 raise  # a wrong dual is the row's error, not a reason to try the next
             except BhlinkError:
                 continue
@@ -450,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before all output was written", file=sys.stderr)
         return 2
-    except (CrossCheckFailed, NonIntegralC) as exc:
+    except _INTERNAL as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return 3
     except (_InputError, BhlinkError) as exc:

@@ -6,7 +6,9 @@ Fermat-cycle and cycle-cycle shapes the dual link keeps degree, Milnor number
 and homology (the dual is a *twin*); for chain-cycle shapes both the degree
 and the Milnor number change, and for index-one data (|w| = d + 1, the
 anticanonical hypersurfaces of the Johnson-Kollar list) closed forms predict
-the whole dual profile from the (m2, m3) split:
+the whole dual profile of a 2-chain plus 3-cycle from the polynomial itself
+(the chain's order gives head and tail, the cycle's order each successor)
+and the (m2, m3) split of its weights:
 
     dual degree (raw)   d (m2 - 1),
     dual Milnor number  ((m2 - 1)^2 / v1 + 1) (m3 - 1),
@@ -48,7 +50,7 @@ from .errors import (
 from .invariants import HomologyProfile, homology_profile
 from .polynomial import Block, BlockKind, InvertiblePolynomial, classify
 from .representation import count_representations, enumerate_representations
-from .weights import SplitDecomposition, WeightSystem, solve_weights
+from .weights import WeightSystem, solve_weights
 
 __all__ = [
     "Verdict",
@@ -118,65 +120,51 @@ class ClosedFormPrediction:
         return HomologyProfile(b3=0, torsion=self.torsion, mu=self.mu, degree=self.degree)
 
 
-def chain_cycle_closed_forms(
-    split: SplitDecomposition, exponents: tuple[int, int, int, int, int]
-) -> ClosedFormPrediction:
-    """Predicted dual of a chain-cycle polynomial from its split and exponents.
+def chain_cycle_closed_forms(poly: InvertiblePolynomial, ws: WeightSystem) -> ClosedFormPrediction:
+    """Predicted dual of ``poly``, a 2-chain plus 3-cycle representing ``ws``.
 
-    ``exponents`` is indexed by variable (the diagonal of the exponent
-    matrix).  Preconditions, enforced exactly: the split weights have index
-    one (they sum to d + 1), the chain head carries m2 and has v = 1, the
-    tail exponent is (m2 - 1) / v1, and the cycle exponents satisfy
-    prod + 1 = m3 (the rational-homology-sphere condition for split data).
-    The cycle orientation is recovered from the defining equations
-    e_i v_i + v_next = m3.
+    The chain's order names its head and tail, the cycle's order each
+    variable's successor.  Preconditions, checked exactly in this order:
+    the blocks are a 2-variable chain and a 3-variable cycle; ``ws`` splits
+    with m3 on the chain and m2 on the cycle (:class:`NoSplit` propagates);
+    the split weights sum to d + 1 (index one); the chain head has v = 1 and
+    exponent m2; the tail exponent is (m2 - 1) / v1; the cycle exponents
+    satisfy prod + 1 = m3 (the rational-homology-sphere condition); and the
+    cycle's own orientation satisfies e_k v_k + v_(k+1) = m3, which also
+    refuses a ``ws`` that ``poly`` does not represent.  Each other failure
+    raises :class:`PreconditionFailed`.
     """
-    m2, m3, d = split.m2, split.m3, split.degree
-    g3, g2 = split.group3, split.group2
+    if [(b.kind, len(b.variables)) for b in poly.blocks] != [(BlockKind.CHAIN, 2), (BlockKind.CYCLE, 3)]:
+        raise PreconditionFailed("not a 2-chain plus 3-cycle")
+    chain, cycle = poly.blocks
+    split = ws.split((chain.variables, tuple(sorted(cycle.variables))))
+    m2, m3, d, v = split.m2, split.m3, split.degree, split.v
+    (head, tail), (a_head, a1) = chain.variables, chain.exponents
+    # cyc[k - 2] succeeds cyc[k] in the cycle, and cyc[k - 1] succeeds that
+    cyc, exps = cycle.variables, cycle.exponents
 
-    weight_sum = m3 * sum(split.v[i] for i in g3) + m2 * sum(split.v[i] for i in g2)
+    weight_sum = m3 * (v[head] + v[tail]) + m2 * sum(v[i] for i in cyc)
     if weight_sum != d + 1:
+        raise PreconditionFailed(f"closed forms need index one: weight sum {weight_sum} != d + 1 = {d + 1}")
+    if v[head] != 1 or a_head != m2:
         raise PreconditionFailed(
-            f"closed forms need index one: weight sum {weight_sum} != d + 1 = {d + 1}"
+            f"chain head z{head} needs v = 1 and exponent m2 = {m2}, has v = {v[head]} and exponent {a_head}"
         )
-
-    heads = [i for i in g3 if split.v[i] == 1 and exponents[i] == m2]
-    if not heads:
-        raise PreconditionFailed(
-            f"no chain head with v = 1 and exponent m2 = {m2} among indices {g3}"
-        )
-    head = heads[0]
-    tail = g3[1] if head == g3[0] else g3[0]
-    v1, a1 = split.v[tail], exponents[tail]
+    v1 = v[tail]
     if v1 * a1 != m2 - 1:
-        raise PreconditionFailed(
-            f"tail exponent {a1} != (m2 - 1)/v1 = ({m2} - 1)/{v1}"
-        )
-
-    if prod(exponents[i] for i in g2) + 1 != m3:
-        raise PreconditionFailed(
-            f"cycle exponents {tuple(exponents[i] for i in g2)} do not satisfy prod + 1 = m3 = {m3}"
-        )
-
-    successor = None
-    for orientation in ((g2[0], g2[1], g2[2]), (g2[0], g2[2], g2[1])):
-        mapping = {orientation[k]: orientation[(k + 1) % 3] for k in range(3)}
-        if all(
-            exponents[i] * split.v[i] + split.v[mapping[i]] == m3 for i in g2
-        ):
-            successor = mapping
-            break
-    if successor is None:
-        raise PreconditionFailed("no cycle orientation matches the split equations")
+        raise PreconditionFailed(f"tail exponent {a1} != (m2 - 1)/v1 = ({m2} - 1)/{v1}")
+    if prod(exps) + 1 != m3:
+        by_variable = tuple(e for _, e in sorted(zip(cyc, exps)))
+        raise PreconditionFailed(f"cycle exponents {by_variable} do not satisfy prod + 1 = m3 = {m3}")
+    if any(exps[k] * v[cyc[k]] + v[cyc[k - 2]] != m3 for k in range(3)):
+        raise PreconditionFailed(f"cycle {cyc} with exponents {exps} fails e_k v_k + v_(k+1) = m3 = {m3}")
 
     raw_degree = d * (m2 - 1)
     raw = [0] * 5
     raw[head] = m3 * v1 * (a1 - 1)
     raw[tail] = m3 * m2 * v1
-    for i in g2:
-        s1 = successor[i]
-        s2 = successor[s1]
-        raw[i] = m2 * (m2 - 1) * (1 - exponents[s1] + exponents[s1] * exponents[s2])
+    for k in range(3):
+        raw[cyc[k]] = m2 * (m2 - 1) * (1 - exps[k - 2] + exps[k - 2] * exps[k - 1])
 
     joint = gcd(raw_degree, *raw)
     weights = tuple(x // joint for x in raw)
@@ -204,13 +192,9 @@ def chain_cycle_closed_forms(
 
 
 def is_twin(a: HomologyProfile, b: HomologyProfile) -> bool:
-    """Equal degree, Milnor number, Betti number and torsion chain."""
-    return (
-        a.degree == b.degree
-        and a.mu == b.mu
-        and a.b3 == b.b3
-        and a.torsion == b.torsion
-    )
+    """Equal degree, Milnor number, Betti number and torsion chain: the four
+    fields of a profile."""
+    return a == b
 
 
 def swap_twin(poly: InvertiblePolynomial) -> tuple[InvertiblePolynomial, WeightSystem]:
@@ -284,22 +268,11 @@ def checked_dual(poly: InvertiblePolynomial, ws: WeightSystem) -> CheckedDual:
     dual_poly, dual_ws = bh_dual(poly)
     dual_profile = homology_profile(dual_ws)
     checked = CheckedDual(dual_poly, dual_ws, dual_profile, se_certificate(dual_ws), None)
-    blocks = {b.kind: b.variables for b in poly.blocks}
-    chain, cycle = blocks.get(BlockKind.CHAIN, ()), blocks.get(BlockKind.CYCLE, ())
-    if len(poly.blocks) != 2 or len(chain) != 2 or len(cycle) != 3:
-        return checked._replace(skipped="not a 2-chain plus 3-cycle")
     try:
-        split = ws.split((chain, tuple(sorted(cycle))))
-        prediction = chain_cycle_closed_forms(split, tuple(map(poly.exponent_of, range(5))))
+        prediction = chain_cycle_closed_forms(poly, ws)
     except (NoSplit, PreconditionFailed) as exc:
         return checked._replace(skipped=str(exc))
-    if (
-        sorted(prediction.weights) != sorted(dual_ws.weights)
-        or prediction.degree != dual_ws.degree
-        or prediction.mu != dual_profile.mu
-        or prediction.torsion != dual_profile.torsion
-        or dual_profile.b3 != 0
-    ):
+    if sorted(prediction.weights) != sorted(dual_ws.weights) or prediction.profile() != dual_profile:
         raise CrossCheckFailed(
             f"chain-cycle closed forms disagree with the transposed dual for {ws}: "
             f"predicted ({prediction.weights}; {prediction.degree}), mu={prediction.mu}, "

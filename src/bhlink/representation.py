@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import CrossCheckFailed, NoRepresentation
 from .polynomial import Block, BlockKind, InvertiblePolynomial
@@ -129,26 +129,19 @@ def _canonical_key(poly: InvertiblePolynomial):
     return tuple((block.kind.value, block.variables, block.exponents) for block in poly.blocks)
 
 
-def pick_chain_cycle(polys: Iterable[InvertiblePolynomial]) -> InvertiblePolynomial | None:
-    """The polynomial whose blocks are exactly a chain on variables 0, 1 and a
-    cycle on 2, 3, 4 with the smallest per-variable exponent tuple (then the
-    smallest canonical key), or None when there is none.  The key is total,
-    so the order of ``polys`` does not matter."""
-    shape = [(BlockKind.CHAIN, {0, 1}), (BlockKind.CYCLE, {2, 3, 4})]
-    matches = (p for p in polys if [(b.kind, set(b.variables)) for b in p.blocks] == shape)
-    return min(matches, key=lambda p: (tuple(map(p.exponent_of, range(5))), _canonical_key(p)), default=None)
-
-
 def find_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
     """The representation with a 2-chain on variables 0, 1 and a 3-cycle on
-    2, 3, 4, tie-broken by the smallest per-variable exponent tuple; table
-    blocks are valid, so it is picked from the pairs of the two cells.
-    Raises :class:`NoRepresentation` when no such polynomial matches."""
+    2, 3, 4 with the smallest per-variable exponent tuple (then the smallest
+    canonical key); table blocks are valid, so it is picked from the chain
+    and cycle blocks of the two cells.  Raises :class:`NoRepresentation` when
+    no such polynomial matches."""
     if ws.n_vars != 5:
         raise NoRepresentation("chain-cycle search expects a five-variable system")
     table = _option_table(ws)
-    pairs = product(table.get(0b00011, ()), table.get(0b11100, ()))
-    chosen = pick_chain_cycle(InvertiblePolynomial(5, pair) for pair in pairs)
+    chains = [b for b in table.get(0b00011, ()) if b.kind is BlockKind.CHAIN]
+    cycles = [b for b in table.get(0b11100, ()) if b.kind is BlockKind.CYCLE]
+    polys = (InvertiblePolynomial(5, pair) for pair in product(chains, cycles))
+    chosen = min(polys, key=lambda p: (tuple(map(p.exponent_of, range(5))), _canonical_key(p)), default=None)
     if chosen is None:
         raise NoRepresentation(f"no chain-cycle representation for {ws}")
     return chosen

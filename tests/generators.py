@@ -35,6 +35,15 @@ def _alternating(values: list[int]) -> int:
     return total
 
 
+def five_cycle_data(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The raw degree and weights of the five-cycle x_i^(a_i) x_(i+1)."""
+    degree = 1
+    for a in exps:
+        degree *= a
+    weights = tuple(_alternating([exps[(i - k) % 5] for k in range(1, 5)]) for i in range(5))
+    return degree + 1, weights
+
+
 @lru_cache(maxsize=None)
 def index_one_cycles(max_exp: int = 12) -> tuple[Instance, ...]:
     """Every pure five-cycle with index one and primitive coprime weights.
@@ -42,27 +51,38 @@ def index_one_cycles(max_exp: int = 12) -> tuple[Instance, ...]:
     Weights come from the alternating closed form for the orientation
     x_i^(a_i) x_(i+1); primitivity of the raw tuple is exactly the
     rational-homology-sphere condition, and index one (weight sum = d + 1)
-    is an extra Diophantine constraint.
+    is an extra Diophantine constraint.  The degree and every weight are
+    multilinear in the exponents, so the index excess is linear in a_5 and
+    is solved for it rather than scanned.
     """
+    def excess(exps: tuple[int, ...]) -> int:
+        degree, weights = five_cycle_data(exps)
+        return sum(weights) - degree - 1
+
     pool = []
-    for exps in product(range(1, max_exp + 1), repeat=5):
-        degree = 1
-        for a in exps:
-            degree *= a
-        degree += 1
-        weights = tuple(
-            _alternating([exps[(i - k) % 5] for k in range(1, 5)]) for i in range(5)
-        )
-        if sum(weights) != degree + 1:
-            continue
-        if gcd(degree, *weights) != 1:
-            continue
-        poly = InvertiblePolynomial(5, (Block(BlockKind.CYCLE, tuple(range(5)), exps),))
-        if poly.validate():
-            continue
-        ws = WeightSystem(weights, degree)
-        assert solve_weights(poly) == ws
-        pool.append((poly, ws))
+    for head in product(range(1, max_exp + 1), repeat=4):
+        # excess(head + (a5,)) = at_zero + slope * a5
+        at_zero = excess(head + (0,))
+        slope = excess(head + (1,)) - at_zero
+        if slope == 0:
+            last = range(1, max_exp + 1) if at_zero == 0 else ()
+        elif at_zero % slope == 0 and 1 <= -at_zero // slope <= max_exp:
+            last = (-at_zero // slope,)
+        else:
+            last = ()
+        for a5 in last:
+            exps = head + (a5,)
+            degree, weights = five_cycle_data(exps)
+            if sum(weights) != degree + 1:
+                continue
+            if gcd(degree, *weights) != 1:
+                continue
+            poly = InvertiblePolynomial(5, (Block(BlockKind.CYCLE, tuple(range(5)), exps),))
+            if poly.validate():
+                continue
+            ws = WeightSystem(weights, degree)
+            assert solve_weights(poly) == ws
+            pool.append((poly, ws))
     return tuple(pool)
 
 

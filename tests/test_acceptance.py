@@ -200,8 +200,7 @@ def test_criterion_6_closed_forms():
         chain = next(b for b in poly.blocks if b.kind is BlockKind.CHAIN)
         cycle = next(b for b in poly.blocks if b.kind is BlockKind.CYCLE)
         split = ws.split((chain.variables, tuple(sorted(cycle.variables))))
-        exponents = tuple(poly.exponent_of(i) for i in range(5))
-        prediction = chain_cycle_closed_forms(split, exponents)
+        prediction = chain_cycle_closed_forms(poly, ws)
         _, dual_ws = bh_dual(poly)
         profile = homology_profile(dual_ws)
         assert sorted(prediction.weights) == sorted(dual_ws.weights)

@@ -44,7 +44,9 @@ def test_divisor_members_are_pinned():
 def test_chain_cycle_search_takes_no_grouping():
     from inspect import signature
 
-    from bhlink.representation import pick_chain_cycle
+    import bhlink.representation
 
     assert list(signature(bhlink.find_chain_cycle).parameters) == ["ws"]
-    assert list(signature(pick_chain_cycle).parameters) == ["polys"]
+    # the closed forms read the grouping off the polynomial they predict
+    assert list(signature(bhlink.chain_cycle_closed_forms).parameters) == ["poly", "ws"]
+    assert not hasattr(bhlink.representation, "pick_chain_cycle")

@@ -12,7 +12,7 @@ import pytest
 
 from bhlink import WeightSystem, cli, duality, enumerate_representations, find_chain_cycle, invariants
 from bhlink.cli import main
-from bhlink.errors import NonPositiveWeights, PreconditionFailed
+from bhlink.errors import NonIntegralC, NonPositiveWeights, PreconditionFailed
 from bhlink.fixture import ROWS
 
 
@@ -461,8 +461,8 @@ def test_batch_pool_capped_by_rows_and_cpus(tmp_path, capsys, monkeypatch):
 def test_injected_closed_form_disagreement_reaches_every_command(tmp_path, capsys, monkeypatch):
     real = duality.chain_cycle_closed_forms
 
-    def wrong_torsion(split, exponents):
-        return dataclasses.replace(real(split, exponents), torsion=(2,))
+    def wrong_torsion(poly, ws):
+        return dataclasses.replace(real(poly, ws), torsion=(2,))
 
     monkeypatch.setattr(duality, "chain_cycle_closed_forms", wrong_torsion)
     ws = WeightSystem((929, 1858, 2849, 63, 805), 6503)
@@ -482,8 +482,31 @@ def test_injected_closed_form_disagreement_reaches_every_command(tmp_path, capsy
     assert "CrossCheckFailed" in capsys.readouterr().out
 
 
+def test_batch_reports_an_internal_failure_in_a_dual(tmp_path, capsys, monkeypatch):
+    # an inexact torsion division in a dual is internal, as in main: the row's
+    # error, not a reason to try the next representation
+    ws = WeightSystem((929, 1858, 2849, 63, 805), 6503)
+    real = invariants.orlik_torsion
+
+    def inexact_on_duals(system):
+        if system != ws:
+            raise NonIntegralC(f"injected for {system}")
+        return real(system)
+
+    monkeypatch.setattr(invariants, "orlik_torsion", inexact_on_duals)
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    _write_rows(src, [(ws.weights, ws.degree)])
+    assert main(["batch", str(src), str(dst), "--jobs", "1"]) == 0
+    assert "(1 with errors)" in capsys.readouterr().out
+    with dst.open(newline="") as handle:
+        record = next(csv.DictReader(handle))
+    assert record["error"].startswith("NonIntegralC: injected")
+    assert record["torsion"] == "Z_929^3"
+    assert record["dual_w"] == record["twin"] == ""
+
+
 def test_verify_table_fails_rows_outside_the_closed_forms(capsys, monkeypatch):
-    def refuse(split, exponents):
+    def refuse(poly, ws):
         raise PreconditionFailed("injected refusal")
 
     monkeypatch.setattr(duality, "chain_cycle_closed_forms", refuse)

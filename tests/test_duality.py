@@ -110,7 +110,7 @@ def test_bh_dual_bp_self_dual():
 
 def test_closed_forms_881():
     ws = WeightSystem((881, 881, 465, 99, 318), 2643)
-    pred = chain_cycle_closed_forms(ws.split(), (3, 2, 5, 22, 8))
+    pred = chain_cycle_closed_forms(chain_cycle_881(), ws)
     assert pred.degree == 5286
     assert sorted(pred.weights) == sorted((881, 2643, 1014, 216, 534))
     assert pred.mu == 4400
@@ -119,10 +119,7 @@ def test_closed_forms_881():
 
 def test_closed_forms_73():
     ws = WeightSystem((73, 73, 95, 45, 80), 365)
-    poly = find_chain_cycle(ws)
-    pred = chain_cycle_closed_forms(
-        ws.split(), tuple(poly.exponent_of(i) for i in range(5))
-    )
+    pred = chain_cycle_closed_forms(find_chain_cycle(ws), ws)
     assert pred.raw_degree == 1460
     assert pred.mu == 1224
     assert pred.torsion == (73,)
@@ -131,28 +128,47 @@ def test_closed_forms_73():
 def test_closed_forms_torsion_trichotomy():
     # gcd(a1, m3) = 5 > 2: torsion picks up m2 factors, joint factor 50 drops
     ws = WeightSystem((65, 650, 1581, 867, 153), 3315)
-    poly = find_chain_cycle(ws)
-    pred = chain_cycle_closed_forms(
-        ws.split(), tuple(poly.exponent_of(i) for i in range(5))
-    )
+    pred = chain_cycle_closed_forms(find_chain_cycle(ws), ws)
     assert pred.raw_degree == 165750
     assert pred.degree == 3315
     assert pred.torsion == (3315, 51, 51, 51)
 
     # gcd(a1, m3) = 2: torsion is the source degree
     ws = WeightSystem((118, 118, 185, 135, 35), 590)
-    poly = find_chain_cycle(ws)
-    pred = chain_cycle_closed_forms(
-        ws.split(), tuple(poly.exponent_of(i) for i in range(5))
-    )
+    pred = chain_cycle_closed_forms(find_chain_cycle(ws), ws)
     assert pred.torsion == (590,)
     assert pred.degree == 1180
 
 
 def test_closed_forms_precondition():
     ws = WeightSystem((881, 881, 465, 99, 318), 2643)
+    # the 881 polynomial with z4's exponent 8 raised to 9
+    chain, _ = chain_cycle_881().blocks
+    wrong = InvertiblePolynomial(5, (chain, Block(BlockKind.CYCLE, (2, 4, 3), (5, 9, 22))))
     with pytest.raises(PreconditionFailed):
-        chain_cycle_closed_forms(ws.split(), (3, 2, 5, 22, 9))
+        chain_cycle_closed_forms(wrong, ws)
+
+
+def test_closed_forms_read_the_chain_head_off_the_polynomial():
+    ws = WeightSystem((17, 34, 175, 125, 75), 425)
+    poly = find_chain_cycle(ws)
+    chain, cycle = poly.blocks
+    assert chain == Block(BlockKind.CHAIN, (0, 1), (25, 12))
+    chain_cycle_closed_forms(poly, ws)
+    # the same exponent per variable, the chain given tail first
+    tail_first = InvertiblePolynomial(5, (Block(BlockKind.CHAIN, (1, 0), (12, 25)), cycle))
+    with pytest.raises(PreconditionFailed, match="chain head z1 needs v = 1"):
+        chain_cycle_closed_forms(tail_first, ws)
+
+
+def test_closed_forms_read_the_cycle_orientation_off_the_polynomial():
+    ws = WeightSystem((881, 881, 465, 99, 318), 2643)
+    chain, cycle = chain_cycle_881().blocks
+    # the same exponent per variable, the cycle run the other way round
+    reversed_cycle = Block(BlockKind.CYCLE, cycle.variables[::-1], cycle.exponents[::-1])
+    assert reversed_cycle != cycle
+    with pytest.raises(PreconditionFailed, match="e_k v_k"):
+        chain_cycle_closed_forms(InvertiblePolynomial(5, (chain, reversed_cycle)), ws)
 
 
 def test_is_twin():
@@ -293,9 +309,12 @@ def test_pipeline_whole_fixture():
 def test_closed_forms_need_index_one():
     # index 54: the closed forms would predict Z_25, the dual has Z_25^2
     ws = WeightSystem((25, 4, 25, 24, 76), 100)
-    split = ws.split(((0, 2), (1, 3, 4)))
+    poly = InvertiblePolynomial(
+        5, (Block(BlockKind.CHAIN, (0, 2), (4, 3)), Block(BlockKind.CYCLE, (1, 4, 3), (6, 1, 4)))
+    )
+    assert solve_weights(poly) == ws
     with pytest.raises(PreconditionFailed, match="index one"):
-        chain_cycle_closed_forms(split, (4, 6, 3, 4, 1))
+        chain_cycle_closed_forms(poly, ws)
 
 
 def test_pipeline_chain_cycle_off_index_one():
@@ -319,12 +338,7 @@ def test_pipeline_chain_cycle_off_index_one():
 )
 def test_closed_forms_match_transposed_dual_on_index_one(instance, perm):
     poly, ws = permute_instance(instance, tuple(perm))
-    chain = next(b for b in poly.blocks if b.kind is BlockKind.CHAIN)
-    cycle = next(b for b in poly.blocks if b.kind is BlockKind.CYCLE)
-    prediction = chain_cycle_closed_forms(
-        ws.split((chain.variables, tuple(sorted(cycle.variables)))),
-        tuple(poly.exponent_of(i) for i in range(5)),
-    )
+    prediction = chain_cycle_closed_forms(poly, ws)
     _, dual_ws = bh_dual(poly)
     assert sorted(prediction.weights) == sorted(dual_ws.weights)
     assert prediction.profile() == homology_profile(dual_ws)
