@@ -325,11 +325,13 @@ _FIXTURE_COLUMNS = (
 
 def _load_fixture_csv(path: Path) -> list[FixtureRow]:
     """Read a golden-table CSV; :class:`_InputError` on an unreadable file, a
-    header without the fixture columns or a field that does not parse."""
+    header without the fixture columns, no rows or a field that does not parse."""
     header, records = _read_csv(path)
     missing = [column for column in _FIXTURE_COLUMNS if column not in header]
     if missing:
         raise _InputError(f"malformed fixture header {header}, missing {missing}")
+    if not records:
+        raise _InputError(f"fixture {path} has no rows")
     rows = []
     # the header is row 1
     for number, record in enumerate(records, start=2):

@@ -15,14 +15,15 @@ cross-checked:
   whose k is at least j, and the torsion group is the direct sum of Z/d_j.
 
 The subset route is integer-only.  Subsets of the index set are bitmasks.
-One table holds D * f(T) for f(T) = prod u_T / (prod v_T * lcm u_T) over
-the common denominator D = prod v * lcm u, and one additive Mobius pass
-turns it into D times every inclusion-exclusion sum: the full set gives the
-Betti number, the odd-parity subsets give the k-numbers.  A profile reduces
-its weights once and builds this table once; the subset sum and the torsion
-recursion both read it.  The c-numbers divide each complement gcd by the
-product of c over the proper submasks, and the torsion worksheet keeps the
-integer arrays c and D * k, indexed by bitmask.
+One cached pass per system reduces the weights and fills every per-mask
+array: D * f(T) for f(T) = prod u_T / (prod v_T * lcm u_T) over the common
+denominator D = prod v * lcm u, and the gcd of the u_i in each mask.  One
+additive Mobius pass turns the first into D times every inclusion-exclusion
+sum: the full set gives the Betti number, the odd-parity subsets give the
+k-numbers.  The subset sum and the torsion recursion of one profile both
+read that pass.  The c-numbers divide each complement gcd by the product of
+c over the proper submasks, in bitmask order, and the torsion worksheet
+keeps the integer arrays c and D * k, indexed by bitmask.
 The chain is emitted as runs: the subsets with c > 1 are grouped by floor(k),
 and each gap between consecutive floors is one factor with its multiplicity.
 The cost is O(3^n) for the c-numbers and O(n 2^n) for the rest; it does not
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby, repeat
+from itertools import groupby, repeat
 from math import gcd, lcm, prod
 from enum import Enum
 from typing import Iterator
@@ -52,7 +53,7 @@ from .errors import (
     PoleAtT,
     PreconditionFailed,
 )
-from .weights import ReducedWeights, WeightSystem
+from .weights import WeightSystem
 
 __all__ = [
     "HomologyProfile",
@@ -126,7 +127,7 @@ class DiffeoType(str, Enum):
 
 def link_divisor(ws: WeightSystem) -> CyclotomicDivisor:
     """The fully expanded divisor of the link's characteristic polynomial."""
-    return expand_link_divisor(_reduced(ws).pairs())
+    return expand_link_divisor(ws.reduced().pairs())
 
 
 def milnor_number(ws: WeightSystem) -> int:
@@ -148,45 +149,30 @@ def milnor_number(ws: WeightSystem) -> int:
 
 
 @lru_cache(maxsize=1)
-def _reduced(ws: WeightSystem) -> ReducedWeights:
-    """The reduced invariants of the last system asked for: the divisor, the
-    subset sum and the torsion recursion of one profile share one reduction."""
-    return ws.reduced()
+def _subset_table(ws: WeightSystem) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """The per-mask arrays of one system: the signed subset sums, D and the gcds.
 
-
-@lru_cache(maxsize=16)
-def _proper_masks(n1: int) -> tuple[int, ...]:
-    """The bitmask of every proper subset of range(n1), by size and then
-    lexicographically: the order in which the c-recursion names its first
-    inexact subset."""
-    return tuple(
-        sum(1 << i for i in subset)
-        for size in range(n1)
-        for subset in combinations(range(n1), size)
-    )
-
-
-@lru_cache(maxsize=1)
-def _subset_table(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """D * sum_{T subset S} (-1)^(|S|-|T|) f(T) for every bitmask S, and D.
-
-    f(T) = prod u_T / (prod v_T * lcm u_T), with f(empty) = 1, and
-    D = prod v * lcm u, so every D * f(T) is an integer.  The table is
-    filled with T | {i} built from T, then one additive Mobius pass (one
-    subtraction per bit and mask) forms the signed subset sums.  The last
-    table is kept: both routes of one profile read the same one.
+    The first entry holds D * sum_{T subset S} (-1)^(|S|-|T|) f(T) for every
+    bitmask S, with f(T) = prod u_T / (prod v_T * lcm u_T), f(empty) = 1,
+    and D = prod v * lcm u, so every D * f(T) is an integer.  The last
+    entry holds the gcd of the u_i in each mask (0 for the empty one).  One
+    loop fills the products, lcms and gcds of every T | {i} from T, then one
+    additive Mobius pass (one subtraction per bit and mask) forms the signed
+    subset sums.  The last system's arrays are kept: the subset sum and the
+    torsion recursion of one profile read the same ones.
     """
-    size = 1 << len(u)
-    prod_v = 1
-    for vi in v:
-        prod_v *= vi
+    red = ws.reduced()
+    size = 1 << len(red.u)
+    prod_v = prod(red.v)
     mixed = [prod_v] * size  # prod u_T * prod v outside T
     lcm_u = [1] * size
-    for i, (ui, vi) in enumerate(zip(u, v)):
+    gcd_u = [0] * size
+    for i, (ui, vi) in enumerate(red.pairs()):
         bit = 1 << i
         for t in range(bit):
             mixed[t | bit] = mixed[t] // vi * ui
             lcm_u[t | bit] = lcm(lcm_u[t], ui)
+            gcd_u[t | bit] = gcd(gcd_u[t], ui)
     lcm_all = lcm_u[-1]
     table = [m * (lcm_all // l) for m, l in zip(mixed, lcm_u)]
     bit = 1
@@ -195,7 +181,7 @@ def _subset_table(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[tuple[int, ..
             for s in range(base, base + bit):
                 table[s] -= table[s ^ bit]
         bit <<= 1
-    return tuple(table), prod_v * lcm_all
+    return tuple(table), prod_v * lcm_all, tuple(gcd_u)
 
 
 def betti_subset_sum(ws: WeightSystem) -> int:
@@ -206,8 +192,7 @@ def betti_subset_sum(ws: WeightSystem) -> int:
     (-1)^(n+1).  The sum is the full-set entry of the integer subset table
     over its common denominator.
     """
-    red = _reduced(ws)
-    table, denominator = _subset_table(red.u, red.v)
+    table, denominator, _ = _subset_table(ws)
     total, remainder = divmod(table[-1], denominator)
     if remainder:
         raise NonIntegralMilnor(
@@ -222,31 +207,25 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
     c over the ordered subsets S of {0..n}: the gcd of the u_i *outside* S
     divided by the product of c over all proper subsets of S; the division
     must be exact (:class:`NonIntegralC` otherwise, naming the first inexact
-    subset by size, then lexicographically).  k weights each subset by the
-    parity epsilon of n - |S| + 1 times the inclusion-exclusion sum over its
-    own subsets.  Unit coefficients are dropped from the returned chain.
+    subset in bitmask order).  k weights each subset by the parity epsilon
+    of n - |S| + 1 times the inclusion-exclusion sum over its own subsets.
+    Unit coefficients are dropped from the returned chain.
 
-    Subsets are bitmasks and the arithmetic is integer: c by a walk over the
-    proper submasks of each subset (O(3^n)), D * k for every subset from
-    the entries of :func:`_subset_table` (O(n 2^n)), and floor(k) by integer
-    floor division by D (k >= j exactly when floor(k) >= j).  d_j is
+    Subsets are bitmasks and the arithmetic is integer.  The complement
+    gcds, D and D * k for every subset come from the one cached pass of
+    :func:`_subset_table` (O(n 2^n)).  c runs over the masks in increasing
+    order, each by a walk over its proper submasks (O(3^n)); a proper
+    submask is a smaller number, so its c is already known.  floor(k) is
+    integer floor division by D (k >= j exactly when floor(k) >= j).  d_j is
     constant between consecutive values of floor(k) over the subsets with
     c > 1, so the chain is emitted as one (d_j, multiplicity) run per gap;
     the cost does not depend on r.
     """
-    red = _reduced(ws)
-    u = red.u
-    n1 = len(u)
-    size = 1 << n1
-    full = size - 1
-
-    gcd_u = [0] * size  # gcd of the u_i in each mask
-    for i, ui in enumerate(u):
-        bit = 1 << i
-        for t in range(bit):
-            gcd_u[t | bit] = gcd(gcd_u[t], ui)
-    c = [1] * size  # the full set keeps c = 1: its parity weight is 0
-    for mask in _proper_masks(n1):
+    table, scale, gcd_u = _subset_table(ws)
+    n1 = ws.n_vars
+    full = len(table) - 1
+    c = [1] * len(table)  # the full set keeps c = 1: its parity weight is 0
+    for mask in range(full):
         denominator = 1
         sub = mask
         while sub:
@@ -261,7 +240,6 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
             )
         c[mask] = numerator // denominator
 
-    table, scale = _subset_table(u, red.v)
     # the parity weight of S is 1 when n1 - |S| is odd and 0 otherwise
     scaled_k = tuple(
         entry if (n1 - mask.bit_count()) & 1 else 0 for mask, entry in enumerate(table)

@@ -51,19 +51,24 @@ def index_one_cycles(max_exp: int = 12) -> tuple[Instance, ...]:
     Weights come from the alternating closed form for the orientation
     x_i^(a_i) x_(i+1); primitivity of the raw tuple is exactly the
     rational-homology-sphere condition, and index one (weight sum = d + 1)
-    is an extra Diophantine constraint.  The degree and every weight are
-    multilinear in the exponents, so the index excess is linear in a_5 and
-    is solved for it rather than scanned.
+    is an extra Diophantine constraint.  Summing the closed form gives the
+    index excess  sum w - d - 1 = 3 - c1 + c2 - c3 + c4 - c5,  where c_k
+    sums the products of k cyclically consecutive exponents.  It is linear
+    in a5, so it is solved for a5 rather than scanned.
     """
-    def excess(exps: tuple[int, ...]) -> int:
-        degree, weights = five_cycle_data(exps)
-        return sum(weights) - degree - 1
-
     pool = []
     for head in product(range(1, max_exp + 1), repeat=4):
-        # excess(head + (a5,)) = at_zero + slope * a5
-        at_zero = excess(head + (0,))
-        slope = excess(head + (1,)) - at_zero
+        a1, a2, a3, a4 = head
+        # excess(head + (a5,)) = at_zero + slope * a5: the terms of the c_k
+        # without a5 make at_zero, those with a5 make slope
+        at_zero = (
+            3 - a1 - a2 - a3 - a4 + a1 * a2 + a2 * a3 + a3 * a4
+            - a1 * a2 * a3 - a2 * a3 * a4 + a1 * a2 * a3 * a4
+        )
+        slope = (
+            -1 + a4 + a1 - a3 * a4 - a4 * a1 - a1 * a2
+            + a2 * a3 * a4 + a3 * a4 * a1 + a4 * a1 * a2 + a1 * a2 * a3 - a1 * a2 * a3 * a4
+        )
         if slope == 0:
             last = range(1, max_exp + 1) if at_zero == 0 else ()
         elif at_zero % slope == 0 and 1 <= -at_zero // slope <= max_exp:
@@ -73,8 +78,6 @@ def index_one_cycles(max_exp: int = 12) -> tuple[Instance, ...]:
         for a5 in last:
             exps = head + (a5,)
             degree, weights = five_cycle_data(exps)
-            if sum(weights) != degree + 1:
-                continue
             if gcd(degree, *weights) != 1:
                 continue
             poly = InvertiblePolynomial(5, (Block(BlockKind.CYCLE, tuple(range(5)), exps),))

@@ -62,7 +62,8 @@ def test_analyze_invalid_input_exit_2(capsys):
     assert main(["analyze", "-w", "1,2,3", "-d", "10"]) == 2
     # a weight at least as large as the degree is invalid data
     assert main(["analyze", "-w", "7,1,1,1,1", "-d", "5"]) == 2
-    capsys.readouterr()
+    assert main(["analyze", "-w", "1,x,1,1,1", "-d", "5"]) == 2
+    assert "error: weights must be integers" in capsys.readouterr().err
 
 
 def test_pipeline_text(capsys):
@@ -71,6 +72,15 @@ def test_pipeline_text(capsys):
     assert "Chain-Cycle" in out
     assert "19509" in out
     assert "Z_929" in out
+    # valid link data whose degree matches no invertible-polynomial shape
+    code, out = run(capsys, "pipeline", "-w", "1,1,1,1,4", "-d", "7")
+    assert (code, out) == (0, "no invertible representation matches (1, 1, 1, 1, 4; d=7)\n")
+    # the first representation's dual has a non-positive weight
+    code, out = run(capsys, "pipeline", "-w", "12,22,6,54,33", "-d", "66")
+    assert code == 0
+    assert "\n[BP-Chain]" in out
+    assert "  error: NonPositiveWeights: weight ray [0, 22, 6, 66, 33] has a non-positive entry\n" in out
+    assert "dual weights (6, 22, 30, 36, 33; d=66)" in out
 
 
 def test_pipeline_json_three_sections(capsys):
@@ -209,17 +219,37 @@ def test_batch_dual_falls_back_past_a_degenerate_first(tmp_path, capsys):
     )
 
 
+def _plus_one(real):
+    return lambda ws: real(ws) + 1
+
+
+def _extra_factor_2(real):
+    def torsion(ws):
+        sheet, chain = real(ws)
+        return sheet, chain + (2,)
+
+    return torsion
+
+
 @pytest.mark.parametrize("command", ["analyze", "pipeline"])
 def test_source_cross_check_failure_exit_3(capsys, monkeypatch, command):
-    # a product-formula Milnor number off by one disagrees with the divisor
-    # root count inside homology_profile of the source
-    real = invariants.milnor_number
-    monkeypatch.setattr(invariants, "milnor_number", lambda ws: real(ws) + 1)
-    assert main([command, "-w", "15,35,14,7,35", "-d", "105"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("cross-check failure: Milnor mismatch")
+    # each injection makes one route of homology_profile disagree with its
+    # cross-check on the source (15, 35, 14, 7, 35; 105), which has b3 = 0
+    for name, wrong, message in (
+        # the product-formula Milnor number against the divisor root count
+        ("milnor_number", _plus_one, "Milnor mismatch"),
+        # the subset-route Betti number against the divisor coefficient sum
+        ("betti_subset_sum", _plus_one, "betti mismatch"),
+        # the subset-recursion torsion order against |Delta(1)|
+        ("orlik_torsion", _extra_factor_2, "torsion order mismatch"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, name, wrong(getattr(invariants, name)))
+            assert main([command, "-w", "15,35,14,7,35", "-d", "105"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"cross-check failure: {message}")
 
 
 def test_batch_overwrites_output_columns_in_the_input(tmp_path, capsys):
@@ -280,9 +310,14 @@ def test_verify_table_fixture_override_mismatch(tmp_path, capsys):
         )
         row = ROWS[0]
         writer.writerow(list(row.source) + list(row.dual) + [row.dual_degree, row.dual_mu + 1, "Z_73"])
+        # "1" is the trivial group, which no golden dual has
+        row = ROWS[1]
+        writer.writerow(list(row.source) + list(row.dual) + [row.dual_degree, row.dual_mu, "1"])
     assert main(["verify-table", "--fixture", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+    assert f"dual torsion {ROWS[1].dual_torsion} != ()" in out
+    assert "0/2 rows verified" in out
 
 
 def test_verify_table_missing_fixture_exit_2(tmp_path, capsys):
@@ -308,6 +343,23 @@ def test_verify_table_fixture_without_columns_exit_2(tmp_path, capsys):
     )
     assert main(["verify-table", "--fixture", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed fixture row 2")
+    for torsion in ("Z_x", "73"):
+        path.write_text(
+            "w0,w1,w2,w3,w4,tw0,tw1,tw2,tw3,tw4,dual_d,dual_mu,dual_torsion\n"
+            f"73,73,95,45,80,219,365,420,200,260,1460,1224,{torsion}\n"
+        )
+        assert main(["verify-table", "--fixture", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed fixture row 2")
+
+
+def test_verify_table_fixture_without_rows_exit_2(tmp_path, capsys):
+    # a truncated table is invalid input, not 0/0 rows verified
+    path = tmp_path / "fixture.csv"
+    path.write_text("w0,w1,w2,w3,w4,tw0,tw1,tw2,tw3,tw4,dual_d,dual_mu,dual_torsion\n")
+    assert main(["verify-table", "--fixture", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: fixture {path} has no rows\n"
 
 
 def test_batch_accepts_byte_order_mark(tmp_path, capsys):
@@ -533,14 +585,22 @@ def test_blank_weight_field_exit_2(capsys, weights, field):
     assert f"weight field {field} of {weights!r} is blank" in _single_error_line(capsys)
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_batch_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+@pytest.mark.parametrize(
+    "jobs, message",
+    [
+        pytest.param("0", "must be at least 1, got 0", id="0"),
+        pytest.param("-3", "must be at least 1, got -3", id="-3"),
+        # a non-integer keeps argparse's own type=int message
+        pytest.param("two", "invalid int value: 'two'", id="two"),
+    ],
+)
+def test_batch_jobs_below_one_exit_2(tmp_path, capsys, jobs, message):
     src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
     src.write_text("w0,w1,w2,w3,w4,d\n1,1,1,1,1,2\n")
     with pytest.raises(SystemExit) as exit_info:
         main(["batch", str(src), str(dst), "--jobs", jobs])
     assert exit_info.value.code == 2
-    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert f"argument --jobs: {message}" in capsys.readouterr().err
     assert not dst.exists()
 
 

@@ -147,6 +147,11 @@ def test_closed_forms_precondition():
     wrong = InvertiblePolynomial(5, (chain, Block(BlockKind.CYCLE, (2, 4, 3), (5, 9, 22))))
     with pytest.raises(PreconditionFailed):
         chain_cycle_closed_forms(wrong, ws)
+    # the chain's tail exponent 2 raised to 3
+    _, cycle = chain_cycle_881().blocks
+    wrong = InvertiblePolynomial(5, (Block(BlockKind.CHAIN, (0, 1), (3, 3)), cycle))
+    with pytest.raises(PreconditionFailed, match=r"tail exponent 3 != \(m2 - 1\)/v1 = \(3 - 1\)/1"):
+        chain_cycle_closed_forms(wrong, ws)
 
 
 def test_closed_forms_read_the_chain_head_off_the_polynomial():

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from bhlink import WeightSystem, solve_weights, wellformed_space
-from bhlink.errors import NoSplit
+from bhlink.errors import NonPositiveWeights, NoSplit
 from bhlink.polynomial import Block, BlockKind, InvertiblePolynomial
 
 from test_polynomial import chain_cycle_881
@@ -77,6 +77,9 @@ def test_wellformed_hypersurface():
     assert WeightSystem((881, 881, 465, 99, 318), 2643).is_wellformed_hypersurface()
     assert not WeightSystem((881, 2643, 1014, 216, 534), 5286).is_wellformed_hypersurface()
     assert WeightSystem((1, 1, 1, 1, 1), 2).is_wellformed_hypersurface()
+    # a well-formed space, but gcd(2, 2, 2) = 2 does not divide 7
+    assert WeightSystem((2, 2, 2, 3, 5), 7).is_wellformed_space()
+    assert not WeightSystem((2, 2, 2, 3, 5), 7).is_wellformed_hypersurface()
 
 
 def test_split_881():
@@ -105,6 +108,17 @@ def test_split_rejected():
     # gcd(105, 15) = 15 gives m2 = 7, but 7 does not divide 35
     with pytest.raises(NoSplit):
         WeightSystem((15, 35, 15, 9, 32), 105).split()
+    with pytest.raises(NoSplit, match="five-variable"):
+        WeightSystem((12, 12, 14, 21, 21, 24), 84).split()
+    with pytest.raises(NoSplit, match="does not partition"):
+        WeightSystem((881, 881, 465, 99, 318), 2643).split(((0, 1), (1, 2, 3)))
+
+
+def test_weight_system_rejects_bad_data():
+    with pytest.raises(ValueError, match="at least two weights"):
+        WeightSystem((1,), 2)
+    with pytest.raises(NonPositiveWeights, match="must be positive"):
+        WeightSystem((1, 0, 1, 1, 1), 2)
 
 
 def test_normalized_divides_jointly():
