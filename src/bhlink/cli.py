@@ -130,13 +130,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     ws = _build_system(_parse_weights(args.weights), args.degree)
     reports = pipeline(ws)
+    # after pipeline(), so an over-budget system is refused before any profile
+    source = homology_profile(ws)
+    source_verdict = se_certificate(ws).verdict.value
     if args.json:
         payload = []
         for rep in reports:
             entry: dict = {
                 "polynomial": str(rep.source_polynomial),
                 "type": classify(rep.source_polynomial),
-                "source_verdict": rep.source_verdict.verdict.value,
+                "source_verdict": source_verdict,
                 "error": rep.error,
             }
             if rep.dual_profile is not None:
@@ -148,12 +151,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                         "dual_betti": rep.dual_profile.b3,
                         "dual_torsion": _torsion_json(rep.dual_profile),
                         "dual_milnor": rep.dual_profile.mu,
-                        "twin": rep.twin,
+                        "twin": is_twin(source, rep.dual_profile),
                         "dual_verdict": rep.dual_verdict.verdict.value,
                     }
                 )
             payload.append(entry)
-        source = reports[0].source_profile if reports else homology_profile(ws)
         print(
             json.dumps(
                 {
@@ -171,8 +173,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if not reports:
         print(f"no invertible representation matches {ws}")
         return 0
-    src = reports[0].source_profile
-    print(f"source {ws}: b3={src.b3}  H3={src.torsion_str()}  mu={src.mu}")
+    print(f"source {ws}: b3={source.b3}  H3={source.torsion_str()}  mu={source.mu}")
     for rep in reports:
         print(f"\n[{classify(rep.source_polynomial)}]  {rep.source_polynomial}")
         if rep.error:
@@ -182,7 +183,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         print(f"  dual  {rep.dual_polynomial}")
         print(f"  dual weights {rep.dual_weights}")
         print(f"  dual profile b3={d.b3}  H3={d.torsion_str()}  mu={d.mu}")
-        print(f"  twin={rep.twin}  source SE={rep.source_verdict.verdict.value}  dual SE={rep.dual_verdict.verdict.value}")
+        print(f"  twin={is_twin(source, d)}  source SE={source_verdict}  dual SE={rep.dual_verdict.verdict.value}")
     return 0
 
 
@@ -228,12 +229,12 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
                 continue
             out.update(
                 {
-                    "dual_w": " ".join(map(str, dual.weights.weights)),
-                    "dual_d": str(dual.weights.degree),
-                    "dual_torsion": dual.profile.torsion_str(),
-                    "dual_mu": str(dual.profile.mu),
-                    "dual_se": dual.verdict.verdict.value,
-                    "twin": str(is_twin(profile, dual.profile)).lower(),
+                    "dual_w": " ".join(map(str, dual.dual_weights.weights)),
+                    "dual_d": str(dual.dual_weights.degree),
+                    "dual_torsion": dual.dual_profile.torsion_str(),
+                    "dual_mu": str(dual.dual_profile.mu),
+                    "dual_se": dual.dual_verdict.verdict.value,
+                    "twin": str(is_twin(profile, dual.dual_profile)).lower(),
                 }
             )
             break
@@ -252,18 +253,23 @@ def _read_csv(path: Path) -> tuple[list[str], list[dict[str, str]]]:
     """The header and records of a CSV file; a missing field reads as "" and
     fields past the header are listed under the key None.  Raises
     :class:`_InputError` for a path that is not a file, bytes that are not
-    UTF-8 or a record the csv module rejects."""
+    UTF-8, a record the csv module rejects or a header that repeats a column
+    (a dict record would keep only its last value)."""
     if not path.is_file():
         raise _InputError(f"no such file {path}")
     try:
         # utf-8-sig drops the byte-order mark a spreadsheet export may start with
         with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle, restval="")
-            return list(reader.fieldnames or []), list(reader)
+            header, records = list(reader.fieldnames or []), list(reader)
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except csv.Error as exc:
         raise _InputError(f"malformed CSV {path}: {exc}")
+    repeated = sorted({column for column in header if header.count(column) > 1})
+    if repeated:
+        raise _InputError(f"malformed CSV header {header}, repeated column {', '.join(repeated)}")
+    return header, records
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -271,9 +277,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     header, records = _read_csv(Path(args.input))
     if header[: len(required)] != required:
         raise _InputError(f"malformed CSV header {header}, expected it to start with {required}")
-    repeated = sorted({column for column in header if header.count(column) > 1})
-    if repeated:
-        raise _InputError(f"malformed CSV header {header}, repeated column {', '.join(repeated)}")
     # open the output before any row is computed, so a bad path fails fast
     try:
         output = Path(args.output).open("w", newline="", encoding="utf-8")
@@ -325,7 +328,8 @@ _FIXTURE_COLUMNS = (
 
 def _load_fixture_csv(path: Path) -> list[FixtureRow]:
     """Read a golden-table CSV; :class:`_InputError` on an unreadable file, a
-    header without the fixture columns, no rows or a field that does not parse."""
+    header without the fixture columns, no rows, a row with more fields than
+    the header or a field that does not parse."""
     header, records = _read_csv(path)
     missing = [column for column in _FIXTURE_COLUMNS if column not in header]
     if missing:
@@ -335,6 +339,8 @@ def _load_fixture_csv(path: Path) -> list[FixtureRow]:
     rows = []
     # the header is row 1
     for number, record in enumerate(records, start=2):
+        if None in record:
+            raise _InputError(f"malformed fixture row {number}: {len(record[None])} more fields than the header")
         try:
             rows.append(
                 FixtureRow(
@@ -355,7 +361,7 @@ def verify_row(row: FixtureRow) -> tuple[bool, str]:
     try:
         ws = WeightSystem(row.source, row.source_degree)
         dual = checked_dual(find_chain_cycle(ws), ws)
-        dual_ws, profile = dual.weights, dual.profile
+        dual_ws, profile = dual.dual_weights, dual.dual_profile
         problems = []
         if sorted(dual_ws.weights) != sorted(row.dual):
             problems.append(f"dual weights {sorted(dual_ws.weights)} != {sorted(row.dual)}")
@@ -369,7 +375,7 @@ def verify_row(row: FixtureRow) -> tuple[bool, str]:
             problems.append(f"dual b3 {profile.b3} != 0")
         if dual.skipped:
             problems.append(f"closed forms not applicable: {dual.skipped}")
-        if dual.verdict.verdict is not Verdict.SASAKI_EINSTEIN:
+        if dual.dual_verdict.verdict is not Verdict.SASAKI_EINSTEIN:
             problems.append("dual not certified Sasaki-Einstein")
         if problems:
             return False, "; ".join(problems)

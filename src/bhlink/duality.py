@@ -35,18 +35,12 @@ certifies a negative: the verdict is then only "positive Ricci".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 from math import gcd, prod
-from typing import NamedTuple
 
-from .errors import (
-    BhlinkError,
-    CrossCheckFailed,
-    NoSplit,
-    PreconditionFailed,
-)
+from .errors import BhlinkError, CrossCheckFailed, NoSplit, PreconditionFailed
 from .invariants import HomologyProfile, homology_profile
 from .polynomial import Block, BlockKind, InvertiblePolynomial, classify
 from .representation import count_representations, enumerate_representations
@@ -229,49 +223,37 @@ PIPELINE_BUDGET = 10_000
 
 @dataclass(frozen=True)
 class DualReport:
-    """One representation's full dual record: profiles, twin flag, verdicts;
-    the dual fields stay None when ``error`` says why there is no dual."""
+    """One representation's transpose dual, its profile and Einstein verdict.
+
+    ``skipped`` says why no closed-form comparison ran (None: it ran and
+    passed); ``error`` says why there is no dual, whose fields then stay None."""
 
     source_polynomial: InvertiblePolynomial
-    source_weights: WeightSystem
-    source_profile: HomologyProfile
-    source_verdict: SasakiVerdict
     dual_polynomial: InvertiblePolynomial | None = None
     dual_weights: WeightSystem | None = None
     dual_profile: HomologyProfile | None = None
-    twin: bool | None = None
     dual_verdict: SasakiVerdict | None = None
+    skipped: str | None = None
     error: str | None = None
 
 
-class CheckedDual(NamedTuple):
-    """A transposed dual, its profile and its Einstein verdict; ``skipped``
-    says why no closed-form comparison ran, and is None when it ran and
-    passed."""
-
-    polynomial: InvertiblePolynomial
-    weights: WeightSystem
-    profile: HomologyProfile
-    verdict: SasakiVerdict
-    skipped: str | None
-
-
-def checked_dual(poly: InvertiblePolynomial, ws: WeightSystem) -> CheckedDual:
+def checked_dual(poly: InvertiblePolynomial, ws: WeightSystem) -> DualReport:
     """Transpose ``poly`` (a representation of ``ws``), profile the dual and
     certify it.
 
     This is the one place a dual is compared with the closed forms: for a
     2-chain plus 3-cycle inside their hypotheses a disagreement raises
-    :class:`CrossCheckFailed`.  It is also the one place a dual gets its
+    :class:`CrossCheckFailed`; outside them the report's ``skipped`` names
+    the refused hypothesis.  It is also the one place a dual gets its
     :func:`se_certificate` verdict.
     """
     dual_poly, dual_ws = bh_dual(poly)
     dual_profile = homology_profile(dual_ws)
-    checked = CheckedDual(dual_poly, dual_ws, dual_profile, se_certificate(dual_ws), None)
+    report = DualReport(poly, dual_poly, dual_ws, dual_profile, se_certificate(dual_ws))
     try:
         prediction = chain_cycle_closed_forms(poly, ws)
     except (NoSplit, PreconditionFailed) as exc:
-        return checked._replace(skipped=str(exc))
+        return replace(report, skipped=str(exc))
     if sorted(prediction.weights) != sorted(dual_ws.weights) or prediction.profile() != dual_profile:
         raise CrossCheckFailed(
             f"chain-cycle closed forms disagree with the transposed dual for {ws}: "
@@ -279,16 +261,17 @@ def checked_dual(poly: InvertiblePolynomial, ws: WeightSystem) -> CheckedDual:
             f"torsion={prediction.torsion}; computed ({dual_ws.weights}; {dual_ws.degree}), "
             f"mu={dual_profile.mu}, torsion={dual_profile.torsion}, b3={dual_profile.b3}"
         )
-    return checked
+    return report
 
 
 def pipeline(ws: WeightSystem) -> list[DualReport]:
-    """Dual reports for every invertible representation of the data.
+    """The :func:`checked_dual` report of every invertible representation.
 
-    Per-representation errors are folded into the report rather than aborting
-    the batch; every dual goes through :func:`checked_dual`.  Data with more
-    than ``PIPELINE_BUDGET`` representations raises
-    :class:`PreconditionFailed` before any is built.
+    A representation whose dual fails gets ``DualReport(poly, error=...)``
+    rather than aborting the rest.  Data with more than ``PIPELINE_BUDGET``
+    representations raises :class:`PreconditionFailed` before any is built.
+    The source is not profiled here: a report's dual is a twin when
+    ``is_twin(homology_profile(ws), report.dual_profile)``.
     """
     ws = ws.normalized()
     count = count_representations(ws)
@@ -296,22 +279,10 @@ def pipeline(ws: WeightSystem) -> list[DualReport]:
         raise PreconditionFailed(
             f"{ws} has {count} invertible representations, over the pipeline budget of {PIPELINE_BUDGET}"
         )
-    source_profile = homology_profile(ws)
-    source_verdict = se_certificate(ws)
     reports: list[DualReport] = []
     for poly in enumerate_representations(ws):
-        source = (poly, ws, source_profile, source_verdict)
         try:
-            dual = checked_dual(poly, ws)
-            report = DualReport(
-                *source,
-                dual_polynomial=dual.polynomial,
-                dual_weights=dual.weights,
-                dual_profile=dual.profile,
-                twin=is_twin(source_profile, dual.profile),
-                dual_verdict=dual.verdict,
-            )
+            reports.append(checked_dual(poly, ws))
         except BhlinkError as exc:
-            report = DualReport(*source, error=f"{type(exc).__name__}: {exc}")
-        reports.append(report)
+            reports.append(DualReport(poly, error=f"{type(exc).__name__}: {exc}"))
     return reports

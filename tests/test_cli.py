@@ -206,7 +206,7 @@ def test_batch_dual_falls_back_past_a_degenerate_first(tmp_path, capsys):
     first, second = enumerate_representations(ws)
     with pytest.raises(NonPositiveWeights):
         duality.checked_dual(first, ws)
-    assert duality.checked_dual(second, ws).weights.weights == (6, 22, 30, 36, 33)
+    assert duality.checked_dual(second, ws).dual_weights.weights == (6, 22, 30, 36, 33)
     src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
     _write_rows(src, [(ws.weights, ws.degree)])
     assert main(["batch", str(src), str(dst)]) == 0
@@ -313,11 +313,29 @@ def test_verify_table_fixture_override_mismatch(tmp_path, capsys):
         # "1" is the trivial group, which no golden dual has
         row = ROWS[1]
         writer.writerow(list(row.source) + list(row.dual) + [row.dual_degree, row.dual_mu, "1"])
+        row = ROWS[2]
+        torsion = _torsion_text(row.dual_torsion)
+        wrong_weight = (row.dual[0] + 1,) + row.dual[1:]
+        writer.writerow(list(row.source) + list(wrong_weight) + [row.dual_degree, row.dual_mu, torsion])
+        row = ROWS[3]
+        torsion = _torsion_text(row.dual_torsion)
+        writer.writerow(list(row.source) + list(row.dual) + [row.dual_degree + 1, row.dual_mu, torsion])
+        # the true chain-cycle dual of index-one data, short of the inequality
+        writer.writerow([13, 13, 75, 100, 125, 325, 299, 1800, 3000, 2400, 7800, 6924, "Z_13"])
+        # the true dual of (4, 2, 1, 1, 1; 8): b3 = 128, outside the closed forms
+        writer.writerow([4, 2, 1, 1, 1, 2, 4, 1, 1, 1, 8, 1029, "Z_4"])
     assert main(["verify-table", "--fixture", str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert f"dual torsion {ROWS[1].dual_torsion} != ()" in out
-    assert "0/2 rows verified" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("FAIL") for line in lines[:6])
+    assert f"dual torsion {ROWS[1].dual_torsion} != ()" in lines[1]
+    assert lines[2].endswith(f"dual weights {sorted(ROWS[2].dual)} != {sorted(wrong_weight)}")
+    assert lines[3].endswith(f"dual degree {ROWS[3].dual_degree} != {ROWS[3].dual_degree + 1}")
+    assert lines[4].endswith("  dual not certified Sasaki-Einstein")
+    problems = lines[5].split("  ", 2)[2].split("; ")
+    assert problems[0] == "dual b3 128 != 0"
+    assert problems[1].startswith("closed forms not applicable: ")
+    assert problems[2:] == ["dual not certified Sasaki-Einstein"]
+    assert lines[-1] == "0/6 rows verified"
 
 
 def test_verify_table_missing_fixture_exit_2(tmp_path, capsys):
@@ -350,6 +368,29 @@ def test_verify_table_fixture_without_columns_exit_2(tmp_path, capsys):
         )
         assert main(["verify-table", "--fixture", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: malformed fixture row 2")
+
+
+def test_verify_table_fixture_repeated_column_exit_2(tmp_path, capsys):
+    # a dict record keeps the last w0; batch and verify-table refuse it alike
+    path = tmp_path / "fixture.csv"
+    path.write_text(
+        "w0,w1,w2,w3,w4,tw0,tw1,tw2,tw3,tw4,dual_d,dual_mu,dual_torsion,w0\n"
+        "73,73,95,45,80,219,365,420,200,260,1460,1224,Z_73,74\n"
+    )
+    assert main(["verify-table", "--fixture", str(path)]) == 2
+    assert "repeated column w0" in _single_error_line(capsys)
+
+
+def test_verify_table_fixture_long_row_exit_2(tmp_path, capsys):
+    # a split torsion Z_73,Z_2 would otherwise be read as Z_73 and pass
+    path = tmp_path / "fixture.csv"
+    path.write_text(
+        "w0,w1,w2,w3,w4,tw0,tw1,tw2,tw3,tw4,dual_d,dual_mu,dual_torsion\n"
+        "73,73,95,45,80,219,365,420,200,260,1460,1224,Z_73\n"
+        "73,73,95,45,80,219,365,420,200,260,1460,1224,Z_73,Z_2\n"
+    )
+    assert main(["verify-table", "--fixture", str(path)]) == 2
+    assert _single_error_line(capsys) == "error: malformed fixture row 3: 1 more fields than the header\n"
 
 
 def test_verify_table_fixture_without_rows_exit_2(tmp_path, capsys):

@@ -235,7 +235,8 @@ def test_swap_twin_requires_chain_cycle():
 
 
 def test_pipeline_929():
-    reports = pipeline(WeightSystem((929, 1858, 2849, 63, 805), 6503))
+    ws = WeightSystem((929, 1858, 2849, 63, 805), 6503)
+    reports = pipeline(ws)
     assert all(r.error is None for r in reports)
     chain_cycle = [r for r in reports if classify(r.source_polynomial) == "Chain-Cycle"]
     assert chain_cycle
@@ -243,12 +244,13 @@ def test_pipeline_929():
     assert r.dual_profile.b3 == 0
     assert r.dual_profile.torsion == (929,)
     assert r.dual_profile.mu == 17632
-    assert r.source_verdict.verdict is Verdict.SASAKI_EINSTEIN
+    assert se_certificate(ws).verdict is Verdict.SASAKI_EINSTEIN
     assert r.dual_verdict.verdict is Verdict.SASAKI_EINSTEIN
 
 
 def test_pipeline_three_shapes():
-    reports = pipeline(WeightSystem((13, 13, 125, 100, 75), 325))
+    ws = WeightSystem((13, 13, 125, 100, 75), 325)
+    reports = pipeline(ws)
     labels = {classify(r.source_polynomial) for r in reports}
     assert {"BP-Cycle", "Chain-Cycle", "Cycle-Cycle"} <= labels
     chain_cycle = [r for r in reports if classify(r.source_polynomial) == "Chain-Cycle"]
@@ -258,13 +260,16 @@ def test_pipeline_three_shapes():
         for r in chain_cycle
     )
     twins = [r for r in reports if classify(r.source_polynomial) in ("BP-Cycle", "Cycle-Cycle")]
-    assert twins and all(r.twin for r in twins)
+    source = homology_profile(ws)
+    assert twins and all(is_twin(source, r.dual_profile) for r in twins)
 
 
 def test_pipeline_self_dual_quadric():
-    reports = pipeline(WeightSystem((1, 1, 1, 1, 1), 2))
+    ws = WeightSystem((1, 1, 1, 1, 1), 2)
+    reports = pipeline(ws)
     assert reports
-    assert all(r.twin for r in reports if classify(r.source_polynomial) == "BP")
+    source = homology_profile(ws)
+    assert all(is_twin(source, r.dual_profile) for r in reports if classify(r.source_polynomial) == "BP")
 
 
 def test_pipeline_aggregates_per_representation_errors():
@@ -298,17 +303,19 @@ def test_pipeline_whole_fixture():
     from bhlink.fixture import ROWS
 
     for row in ROWS:
-        reports = pipeline(WeightSystem(row.source, row.source_degree))
+        ws = WeightSystem(row.source, row.source_degree)
+        reports = pipeline(ws)
         assert reports
+        source = homology_profile(ws)
         for r in reports:
             assert r.error is None, (row.source, str(r.source_polynomial), r.error)
             label = classify(r.source_polynomial)
             if label == "Chain-Cycle":
                 # duality changes degree and Milnor number here, never a twin
-                assert not r.twin
+                assert not is_twin(source, r.dual_profile)
                 assert r.dual_profile.b3 == 0
             elif label in ("Cycle", "BP-Cycle", "Cycle-Cycle"):
-                assert r.twin
+                assert is_twin(source, r.dual_profile)
 
 
 def test_closed_forms_need_index_one():

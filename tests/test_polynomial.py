@@ -1,11 +1,19 @@
 """Block decompositions, exponent matrices, transposition, validation."""
 
+import pytest
+
 from bhlink import InvertiblePolynomial, classify
 from bhlink.polynomial import (
     Block,
     BlockKind,
+    BLOCK_TOO_SHORT,
     CHAIN_HEAD_TOO_SMALL,
+    CHAIN_TAIL_TOO_SMALL,
+    CYCLE_EXPONENT_TOO_SMALL,
     EVEN_CYCLE_DEGENERATE,
+    FERMAT_EXPONENT_TOO_SMALL,
+    NOT_A_PARTITION,
+    SINGULAR_MATRIX,
 )
 
 
@@ -182,6 +190,25 @@ def test_validate_even_cycle_degenerate():
 def test_validate_chain_head_too_small():
     poly = InvertiblePolynomial(2, (Block(BlockKind.CHAIN, (0, 1), (1, 4)),))
     assert CHAIN_HEAD_TOO_SMALL in poly.validate()
+
+
+@pytest.mark.parametrize(
+    "n_vars, block, violations",
+    [
+        # variable 1 belongs to no block
+        (2, Block(BlockKind.FERMAT, (0,), (2,)), [NOT_A_PARTITION]),
+        (2, Block(BlockKind.FERMAT, (0, 1), (2, 3)), [BLOCK_TOO_SHORT]),
+        (1, Block(BlockKind.CHAIN, (0,), (3,)), [BLOCK_TOO_SHORT]),
+        (1, Block(BlockKind.CYCLE, (0,), (3,)), [BLOCK_TOO_SHORT]),
+        (1, Block(BlockKind.FERMAT, (0,), (1,)), [FERMAT_EXPONENT_TOO_SMALL]),
+        # a zero tail exponent also zeroes the determinant
+        (2, Block(BlockKind.CHAIN, (0, 1), (2, 0)), [CHAIN_TAIL_TOO_SMALL, SINGULAR_MATRIX]),
+        (3, Block(BlockKind.CYCLE, (0, 1, 2), (0, 2, 2)), [CYCLE_EXPONENT_TOO_SMALL]),
+    ],
+    ids=["partition", "fermat-short", "chain-short", "cycle-short", "fermat-exponent", "chain-tail", "cycle-exponent"],
+)
+def test_validate_names_each_violation(n_vars, block, violations):
+    assert InvertiblePolynomial(n_vars, (block,)).validate() == violations
 
 
 def test_render_chain_cycle():
