@@ -26,7 +26,7 @@ from pathlib import Path
 from .duality import Verdict, checked_dual, is_twin, pipeline, se_certificate
 from .errors import BhlinkError, CrossCheckFailed, NoRepresentation, NonIntegralC
 from .fixture import ROWS, FixtureRow
-from .invariants import HomologyProfile, homology_profile
+from .invariants import homology_profile
 from .polynomial import classify
 from .representation import count_representations, find_chain_cycle, iter_representations
 from .representation import has_invertible_representation
@@ -53,11 +53,6 @@ BATCH_OUTPUT_COLUMNS = [
 ]
 
 
-def _torsion_json(profile: HomologyProfile) -> list[list[int]]:
-    """(factor, multiplicity) pairs in decreasing factor order."""
-    return [[value, count] for value, count in profile.torsion_runs()]
-
-
 class _InputError(Exception):
     pass
 
@@ -76,8 +71,13 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 def _build_system(weights: tuple[int, ...], degree: int) -> WeightSystem:
+    # for n <= 8 weights b3 <= mu < d^n, a torsion factor is at most prod u_i
+    # <= d^n and a multiplicity at most max k <= 2^n d^n: 500 digits keep
+    # every printed integer under CPython's 4,300-digit int-to-str limit
+    if degree >= 10**500:
+        raise _InputError("invalid weight system: the degree has more than 500 digits")
     try:
-        return WeightSystem(weights, degree).normalized()
+        return WeightSystem(weights, degree)
     except (BhlinkError, ValueError) as exc:
         raise _InputError(f"invalid weight system: {exc}")
 
@@ -92,7 +92,7 @@ def _analyze_record(ws: WeightSystem) -> dict:
         "weights": list(ws.weights),
         "degree": ws.degree,
         "betti": profile.b3,
-        "torsion": _torsion_json(profile),
+        "torsion": profile.torsion,
         "torsion_str": profile.torsion_str(),
         "milnor": profile.mu,
         "rational_homology_sphere": profile.b3 == 0,
@@ -149,7 +149,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                         "dual_weights": list(rep.dual_weights.weights),
                         "dual_degree": rep.dual_weights.degree,
                         "dual_betti": rep.dual_profile.b3,
-                        "dual_torsion": _torsion_json(rep.dual_profile),
+                        "dual_torsion": rep.dual_profile.torsion,
                         "dual_milnor": rep.dual_profile.mu,
                         "twin": is_twin(source, rep.dual_profile),
                         "dual_verdict": rep.dual_verdict.verdict.value,
@@ -162,7 +162,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                     "weights": list(ws.weights),
                     "degree": ws.degree,
                     "betti": source.b3,
-                    "torsion": _torsion_json(source),
+                    "torsion": source.torsion,
                     "milnor": source.mu,
                     "representations": payload,
                 },
@@ -199,7 +199,7 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
             raise ValueError(f"{len(extra)} more fields than the header")
         weights = tuple(int(record[f"w{i}"]) for i in range(5))
         degree = int(record["d"])
-        ws = WeightSystem(weights, degree).normalized()
+        ws = WeightSystem(weights, degree)
         profile = homology_profile(ws)
         verdict = se_certificate(ws)
         out.update(
@@ -302,23 +302,19 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_torsion(text: str) -> tuple[int, ...]:
-    """Parse ``Z_3315+Z_51^3`` back into the expanded chain (3315, 51, 51, 51)."""
+def _parse_torsion(text: str) -> tuple[tuple[int, int], ...]:
+    """Parse ``Z_3315+Z_51^3`` into the runs ((3315, 1), (51, 3))."""
     text = text.strip()
     if text in ("", "1"):
         return ()
-    chain: list[int] = []
+    runs = []
     for part in text.split("+"):
         part = part.strip()
         if not part.startswith("Z_"):
             raise ValueError(f"bad torsion field {text!r}")
-        body = part[2:]
-        if "^" in body:
-            base, power = body.split("^")
-            chain.extend([int(base)] * int(power))
-        else:
-            chain.append(int(body))
-    return tuple(chain)
+        factor, caret, count = part[2:].partition("^")
+        runs.append((int(factor), int(count) if caret else 1))
+    return tuple(runs)
 
 
 _FIXTURE_COLUMNS = (

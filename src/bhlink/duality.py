@@ -101,14 +101,15 @@ def bh_dual(poly: InvertiblePolynomial) -> tuple[InvertiblePolynomial, WeightSys
 
 @dataclass(frozen=True)
 class ClosedFormPrediction:
-    """Chain-cycle dual data predicted without transposing anything."""
+    """Chain-cycle dual data predicted without transposing anything; ``torsion``
+    holds (factor, multiplicity) runs, as in :class:`HomologyProfile`."""
 
     raw_degree: int
     raw_weights: tuple[int, ...]
     degree: int
     weights: tuple[int, ...]
     mu: int
-    torsion: tuple[int, ...]
+    torsion: tuple[tuple[int, int], ...]
 
     def profile(self) -> HomologyProfile:
         return HomologyProfile(b3=0, torsion=self.torsion, mu=self.mu, degree=self.degree)
@@ -169,11 +170,11 @@ def chain_cycle_closed_forms(poly: InvertiblePolynomial, ws: WeightSystem) -> Cl
 
     g = gcd(a1, m3)
     if g == 1:
-        torsion: tuple[int, ...] = (m3,)
+        torsion: tuple[tuple[int, int], ...] = ((m3, 1),)
     elif g == 2:
-        torsion = (d,)
+        torsion = ((d, 1),)
     else:
-        torsion = (d,) + (m2,) * (g - 2)
+        torsion = ((d, 1), (m2, g - 2))
 
     return ClosedFormPrediction(
         raw_degree=raw_degree,
@@ -186,7 +187,7 @@ def chain_cycle_closed_forms(poly: InvertiblePolynomial, ws: WeightSystem) -> Cl
 
 
 def is_twin(a: HomologyProfile, b: HomologyProfile) -> bool:
-    """Equal degree, Milnor number, Betti number and torsion chain: the four
+    """Equal degree, Milnor number, Betti number and torsion runs: the four
     fields of a profile."""
     return a == b
 
@@ -273,7 +274,6 @@ def pipeline(ws: WeightSystem) -> list[DualReport]:
     The source is not profiled here: a report's dual is a twin when
     ``is_twin(homology_profile(ws), report.dual_profile)``.
     """
-    ws = ws.normalized()
     count = count_representations(ws)
     if count > PIPELINE_BUDGET:
         raise PreconditionFailed(

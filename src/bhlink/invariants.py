@@ -24,10 +24,12 @@ k-numbers.  The subset sum and the torsion recursion of one profile both
 read that pass.  The c-numbers divide each complement gcd by the product of
 c over the proper submasks, in bitmask order, and the torsion worksheet
 keeps the integer arrays c and D * k, indexed by bitmask.
-The chain is emitted as runs: the subsets with c > 1 are grouped by floor(k),
-and each gap between consecutive floors is one factor with its multiplicity.
-The cost is O(3^n) for the c-numbers and O(n 2^n) for the rest; it does not
-depend on r = floor(max k), which grows like (d/w)^(n-1).
+The torsion is returned as runs: the subsets with c > 1 are grouped by
+floor(k), and each gap between consecutive floors is one factor with its
+multiplicity, so no sequence with one entry per copy is ever built.  The
+cost is O(3^n) for the c-numbers and O(n 2^n) for the rest, in time and in
+memory; it does not depend on r = floor(max k), which grows like
+(d/w)^(n-1).
 
 The torsion recursion is a theorem for chain type, cycle type and iterated
 Thom-Sebastiani sums of these (hence for every invertible polynomial) and a
@@ -40,15 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, repeat
 from math import gcd, lcm, prod
 from enum import Enum
-from typing import Iterator
 
 from .divisor import CyclotomicDivisor, expand_link_divisor
 from .errors import (
     CrossCheckFailed,
     NonIntegralC,
+    NonIntegralExpansion,
     NonIntegralMilnor,
     PoleAtT,
     PreconditionFailed,
@@ -70,33 +71,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HomologyProfile:
-    """(Betti number, torsion coefficient chain, Milnor number, degree).
+    """(Betti number, torsion runs, Milnor number, degree).
 
-    ``torsion`` lists d_1 >= d_2 >= ... with d_{j+1} | d_j and unit factors
-    dropped; this tuple plus b3, mu and the degree is the whole comparison
-    key for twin detection.
+    ``torsion`` holds the torsion group Z_{d_1}^{m_1} + Z_{d_2}^{m_2} + ...
+    as its runs ((d_1, m_1), (d_2, m_2), ...): the factors strictly
+    decrease, each divides the one before it, every multiplicity is at least
+    1 and unit factors are dropped.  This tuple plus b3, mu and the degree
+    is the whole comparison key for twin detection.
     """
 
     b3: int
-    torsion: tuple[int, ...]
+    torsion: tuple[tuple[int, int], ...]
     mu: int
     degree: int
 
     def torsion_order(self) -> int:
-        return prod(self.torsion)
-
-    def torsion_runs(self) -> Iterator[tuple[int, int]]:
-        """(factor, multiplicity) runs in chain order; equal factors of a
-        divisor chain are adjacent, so each factor is one run."""
-        return ((value, len(list(run))) for value, run in groupby(self.torsion))
+        return prod(factor**count for factor, count in self.torsion)
 
     def torsion_str(self) -> str:
         """Group notation, e.g. ``Z_90+Z_18^3``; ``1`` for the trivial group."""
         if not self.torsion:
             return "1"
         return "+".join(
-            f"Z_{value}" + (f"^{count}" if count > 1 else "")
-            for value, count in self.torsion_runs()
+            f"Z_{factor}" + (f"^{count}" if count > 1 else "")
+            for factor, count in self.torsion
         )
 
 
@@ -126,8 +124,12 @@ class DiffeoType(str, Enum):
 
 
 def link_divisor(ws: WeightSystem) -> CyclotomicDivisor:
-    """The fully expanded divisor of the link's characteristic polynomial."""
-    return expand_link_divisor(ws.reduced().pairs())
+    """The fully expanded divisor of the link's characteristic polynomial;
+    a fractional coefficient's :class:`NonIntegralExpansion` names ``ws``."""
+    try:
+        return expand_link_divisor(ws.reduced().pairs())
+    except NonIntegralExpansion as exc:
+        raise NonIntegralExpansion(f"link divisor of {ws}: {exc}") from None
 
 
 def milnor_number(ws: WeightSystem) -> int:
@@ -196,12 +198,12 @@ def betti_subset_sum(ws: WeightSystem) -> int:
     total, remainder = divmod(table[-1], denominator)
     if remainder:
         raise NonIntegralMilnor(
-            f"Betti subset sum {Fraction(table[-1], denominator)} is not an integer"
+            f"Betti subset sum {Fraction(table[-1], denominator)} is not an integer for {ws}"
         )
     return total
 
 
-def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
+def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[tuple[int, int], ...]]:
     """Torsion coefficients of the middle homology via the subset recursion.
 
     c over the ordered subsets S of {0..n}: the gcd of the u_i *outside* S
@@ -209,7 +211,8 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
     must be exact (:class:`NonIntegralC` otherwise, naming the first inexact
     subset in bitmask order).  k weights each subset by the parity epsilon
     of n - |S| + 1 times the inclusion-exclusion sum over its own subsets.
-    Unit coefficients are dropped from the returned chain.
+    The torsion comes back as (d_j, multiplicity) runs, as in
+    :class:`HomologyProfile`; unit coefficients are dropped.
 
     Subsets are bitmasks and the arithmetic is integer.  The complement
     gcds, D and D * k for every subset come from the one cached pass of
@@ -218,8 +221,8 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
     submask is a smaller number, so its c is already known.  floor(k) is
     integer floor division by D (k >= j exactly when floor(k) >= j).  d_j is
     constant between consecutive values of floor(k) over the subsets with
-    c > 1, so the chain is emitted as one (d_j, multiplicity) run per gap;
-    the cost does not depend on r.
+    c > 1, so each gap is one (d_j, multiplicity) run; the cost does not
+    depend on r.
     """
     table, scale, gcd_u = _subset_table(ws)
     n1 = ws.n_vars
@@ -251,19 +254,19 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[int, ...]]:
             by_floor[level] = by_floor.get(level, 1) * c_mask
     # d_j for j up to the lowest floor is the product of every group; each
     # gap to the next floor is one run, after which that group drops out
-    chain: list[int] = []
+    runs: list[tuple[int, int]] = []
     d, previous = prod(by_floor.values()), 0
     for level in sorted(by_floor):
-        chain += repeat(d, level - previous)
+        runs.append((d, level - previous))
         d //= by_floor[level]
         previous = level
 
     sheet = TorsionWorksheet(c=tuple(c), scaled_k=scaled_k, scale=scale, r=max(scaled_k) // scale)
-    return sheet, tuple(chain)
+    return sheet, tuple(runs)
 
 
 def homology_profile(ws: WeightSystem) -> HomologyProfile:
-    """Bundle Betti number, torsion chain, Milnor number and degree.
+    """Bundle Betti number, torsion runs, Milnor number and degree.
 
     Cross-checks on every call: the product-formula Milnor number equals the
     divisor root count, and for rational homology spheres the product of the
@@ -308,10 +311,11 @@ def branched_cover(ws: WeightSystem, p: int) -> tuple[WeightSystem, DiffeoType]:
 
     The cover of a five-variable system is weighted homogeneous for degree
     lcm(p, d) with a new weight d'/p prepended and the old weights scaled by
-    d'/d; the result is primitively normalized (this is the unique
-    homogeneity-preserving choice up to scaling).  When the 9-dimensional
-    link is a homotopy sphere, i.e. |Delta(1)| = 1, the value Delta(-1) mod 8
-    distinguishes the standard sphere (+-1) from the Kervaire sphere (+-3).
+    d'/d; like every weight system, the cover is stored primitive (this is
+    the unique homogeneity-preserving choice up to scaling).  When the
+    9-dimensional link is a homotopy sphere, i.e. |Delta(1)| = 1, the value
+    Delta(-1) mod 8 distinguishes the standard sphere (+-1) from the
+    Kervaire sphere (+-3).
     """
     if ws.n_vars != 5:
         raise PreconditionFailed("branched covers are built over five-variable systems")
@@ -319,7 +323,7 @@ def branched_cover(ws: WeightSystem, p: int) -> tuple[WeightSystem, DiffeoType]:
         raise PreconditionFailed("cover order must be at least 2")
     d2 = lcm(p, ws.degree)
     scale = d2 // ws.degree
-    cover = WeightSystem((d2 // p,) + tuple(w * scale for w in ws.weights), d2).normalized()
+    cover = WeightSystem((d2 // p,) + tuple(w * scale for w in ws.weights), d2)
     divisor = link_divisor(cover)
     if divisor.coefficient_sum() != 0 or divisor.delta_order_at_one() != 1:
         return cover, DiffeoType.NOT_HOMOTOPY_SPHERE

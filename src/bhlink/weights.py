@@ -3,8 +3,9 @@
 A weight system pairs a vector of positive integer weights with the common
 degree of the defining monomials.  Everything downstream consumes only the
 reduced invariants u_i = d / gcd(d, w_i), v_i = w_i / gcd(d, w_i), which are
-invariant under joint rescaling of (w, d); primitive normalization divides
-weights *and* degree by their joint gcd.
+invariant under joint rescaling of (w, d).  A :class:`WeightSystem` divides
+weights *and* degree by their joint gcd once it has validated them, so every
+profile, index and comparison reads primitive data.
 """
 
 from __future__ import annotations
@@ -62,27 +63,20 @@ class WeightSystem:
     degree: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(self, "degree", int(self.degree))
-        if len(self.weights) < 2:
+        weights, degree = tuple(int(w) for w in self.weights), int(self.degree)
+        if len(weights) < 2:
             raise ValueError("a weight system needs at least two weights")
-        if any(w < 1 for w in self.weights):
-            raise NonPositiveWeights(f"weights must be positive: {self.weights}")
-        if any(w >= self.degree for w in self.weights):
-            raise NonPositiveWeights(
-                f"every weight must be smaller than the degree: {self.weights}, d={self.degree}"
-            )
+        if min(weights) < 1:
+            raise NonPositiveWeights(f"weights must be positive: {weights}")
+        if max(weights) >= degree:
+            raise NonPositiveWeights(f"every weight must be smaller than the degree: {weights}, d={degree}")
+        g = gcd(degree, *weights)
+        object.__setattr__(self, "weights", tuple(w // g for w in weights) if g > 1 else weights)
+        object.__setattr__(self, "degree", degree // g)
 
     @property
     def n_vars(self) -> int:
         return len(self.weights)
-
-    def normalized(self) -> WeightSystem:
-        """Divide weights and degree by their joint gcd."""
-        g = gcd(self.degree, *self.weights)
-        if g == 1:
-            return self
-        return WeightSystem(tuple(w // g for w in self.weights), self.degree // g)
 
     def fano_index(self) -> int:
         """|w| - d.  Positive exactly when the quotient orbifold is Fano."""

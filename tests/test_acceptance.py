@@ -70,7 +70,7 @@ def test_criterion_2_named_examples():
     _, dual = bh_dual(bp_chain[0])
     assert dual == WeightSystem((15, 35, 14, 7, 35), 105)
     dual_profile = homology_profile(dual)
-    assert dual_profile.torsion == (7,) * 26
+    assert dual_profile.torsion == ((7, 26),)
     assert dual_profile.mu == 2184
 
     # (5,35,57,64,160) reordered: 36-fold sum, dual with layered torsion
@@ -83,16 +83,16 @@ def test_criterion_2_named_examples():
     target = WeightSystem((576, 1399, 82, 256, 576), 2880)
     assert target in duals
     dual_profile = homology_profile(target)
-    assert dual_profile.torsion == (90, 18, 18, 18)
+    assert dual_profile.torsion == ((90, 1), (18, 3))
     assert dual_profile.mu == 5924
 
     # (13,13,125,100,75): chain-cycle dual fails the index inequality
     ws = WeightSystem((13, 13, 125, 100, 75), 325)
-    assert homology_profile(ws).torsion == (13,) * 24
+    assert homology_profile(ws).torsion == ((13, 24),)
     _, dual = bh_dual(find_chain_cycle(ws))
     assert sorted(dual.weights) == sorted((299, 325, 2400, 3000, 1800))
     assert dual.degree == 7800
-    assert homology_profile(dual).torsion == (13,)
+    assert homology_profile(dual).torsion == ((13, 1),)
     assert se_certificate(dual).verdict is Verdict.POSITIVE_RICCI_ONLY
 
     # (929,...): twin pair, both duals Einstein-certified
@@ -105,7 +105,7 @@ def test_criterion_2_named_examples():
     for p in (poly, twin_poly):
         _, dws = bh_dual(p)
         profile = homology_profile(dws)
-        assert (profile.b3, profile.torsion, profile.mu) == (0, (929,), 17632)
+        assert (profile.b3, profile.torsion, profile.mu) == (0, ((929, 1),), 17632)
         assert se_certificate(dws).verdict is Verdict.SASAKI_EINSTEIN
     print("\nPASS criterion 2: named example suite")
 
@@ -166,8 +166,8 @@ def _oracle_equivalent(ws: WeightSystem):
     if divisor.coefficient_sum() == 0:
         _, torsion = orlik_torsion(ws)
         order = 1
-        for t in torsion:
-            order *= t
+        for factor, count in torsion:
+            order *= factor**count
         assert order == divisor.delta_order_at_one()
 
 
@@ -214,7 +214,7 @@ def test_criterion_6_closed_forms():
     assert trichotomy == {1, 2, 3}
     # the three torsion shapes are all exercised, e.g. Z_3315 + Z_51^3
     row = next(r for r in ROWS if r.source == (65, 650, 1581, 867, 153))
-    assert row.dual_torsion == (3315, 51, 51, 51)
+    assert row.dual_torsion == ((3315, 1), (51, 3))
     print("\nPASS criterion 6: closed forms match the pipeline on all 75 rows, "
           "torsion trichotomy classes {1, 2, >2} all present")
 

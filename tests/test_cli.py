@@ -66,6 +66,27 @@ def test_analyze_invalid_input_exit_2(capsys):
     assert "error: weights must be integers" in capsys.readouterr().err
 
 
+def test_analyze_degree_over_500_digits_exit_2(capsys):
+    # a longer degree could give results past CPython's int-to-str limit
+    assert main(["analyze", "-w", "1,1,1,1,1", "-d", str(10**1500 + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid weight system: the degree has more than 500 digits\n"
+    # 500 digits is allowed, on eight variables too, where mu has 3,993 digits
+    for weights in ("1,1,1,1,1", "1,1,1,1,1,1,1,1"):
+        assert main(["analyze", "-w", weights, "-d", str(10**499 + 1), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["degree"] == 10**499 + 1
+
+
+def test_analyze_non_integral_divisor_names_system_and_stage(capsys):
+    assert main(["analyze", "-w", "19,18,5,12,16", "-d", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: link divisor of (19, 18, 5, 12, 16; d=20): coefficient of L20 is -103/513, not an integer\n"
+    )
+
+
 def test_pipeline_text(capsys):
     code, out = run(capsys, "pipeline", "-w", "929,1858,2849,63,805", "-d", "6503")
     assert code == 0
@@ -99,11 +120,8 @@ def test_pipeline_self_dual(capsys):
     assert bp and bp[0]["dual_weights"] == [1, 1, 1, 1, 1]
 
 
-def _torsion_text(chain):
-    parts = []
-    for value in dict.fromkeys(chain):
-        count = chain.count(value)
-        parts.append(f"Z_{value}" + (f"^{count}" if count > 1 else ""))
+def _torsion_text(runs):
+    parts = [f"Z_{value}" + (f"^{count}" if count > 1 else "") for value, count in runs]
     return "+".join(parts) if parts else "1"
 
 
@@ -225,8 +243,8 @@ def _plus_one(real):
 
 def _extra_factor_2(real):
     def torsion(ws):
-        sheet, chain = real(ws)
-        return sheet, chain + (2,)
+        sheet, runs = real(ws)
+        return sheet, runs + ((2, 1),)
 
     return torsion
 
@@ -324,9 +342,12 @@ def test_verify_table_fixture_override_mismatch(tmp_path, capsys):
         writer.writerow([13, 13, 75, 100, 125, 325, 299, 1800, 3000, 2400, 7800, 6924, "Z_13"])
         # the true dual of (4, 2, 1, 1, 1; 8): b3 = 128, outside the closed forms
         writer.writerow([4, 2, 1, 1, 1, 2, 4, 1, 1, 1, 8, 1029, "Z_4"])
+        # torsion is compared run by run, so only the canonical spelling passes
+        row = next(r for r in ROWS if r.source == (65, 650, 1581, 867, 153))
+        writer.writerow(list(row.source) + list(row.dual) + [row.dual_degree, row.dual_mu, "Z_3315+Z_51+Z_51^2"])
     assert main(["verify-table", "--fixture", str(bad)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert all(line.startswith("FAIL") for line in lines[:6])
+    assert all(line.startswith("FAIL") for line in lines[:7])
     assert f"dual torsion {ROWS[1].dual_torsion} != ()" in lines[1]
     assert lines[2].endswith(f"dual weights {sorted(ROWS[2].dual)} != {sorted(wrong_weight)}")
     assert lines[3].endswith(f"dual degree {ROWS[3].dual_degree} != {ROWS[3].dual_degree + 1}")
@@ -335,7 +356,8 @@ def test_verify_table_fixture_override_mismatch(tmp_path, capsys):
     assert problems[0] == "dual b3 128 != 0"
     assert problems[1].startswith("closed forms not applicable: ")
     assert problems[2:] == ["dual not certified Sasaki-Einstein"]
-    assert lines[-1] == "0/6 rows verified"
+    assert lines[6].endswith("dual torsion ((3315, 1), (51, 3)) != ((3315, 1), (51, 1), (51, 2))")
+    assert lines[-1] == "0/7 rows verified"
 
 
 def test_verify_table_missing_fixture_exit_2(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_closed_forms_881():
     assert pred.degree == 5286
     assert sorted(pred.weights) == sorted((881, 2643, 1014, 216, 534))
     assert pred.mu == 4400
-    assert pred.torsion == (881,)
+    assert pred.torsion == ((881, 1),)
 
 
 def test_closed_forms_73():
@@ -122,7 +122,7 @@ def test_closed_forms_73():
     pred = chain_cycle_closed_forms(find_chain_cycle(ws), ws)
     assert pred.raw_degree == 1460
     assert pred.mu == 1224
-    assert pred.torsion == (73,)
+    assert pred.torsion == ((73, 1),)
 
 
 def test_closed_forms_torsion_trichotomy():
@@ -131,12 +131,12 @@ def test_closed_forms_torsion_trichotomy():
     pred = chain_cycle_closed_forms(find_chain_cycle(ws), ws)
     assert pred.raw_degree == 165750
     assert pred.degree == 3315
-    assert pred.torsion == (3315, 51, 51, 51)
+    assert pred.torsion == ((3315, 1), (51, 3))
 
     # gcd(a1, m3) = 2: torsion is the source degree
     ws = WeightSystem((118, 118, 185, 135, 35), 590)
     pred = chain_cycle_closed_forms(find_chain_cycle(ws), ws)
-    assert pred.torsion == (590,)
+    assert pred.torsion == ((590, 1),)
     assert pred.degree == 1180
 
 
@@ -242,7 +242,7 @@ def test_pipeline_929():
     assert chain_cycle
     r = chain_cycle[0]
     assert r.dual_profile.b3 == 0
-    assert r.dual_profile.torsion == (929,)
+    assert r.dual_profile.torsion == ((929, 1),)
     assert r.dual_profile.mu == 17632
     assert se_certificate(ws).verdict is Verdict.SASAKI_EINSTEIN
     assert r.dual_verdict.verdict is Verdict.SASAKI_EINSTEIN
@@ -255,13 +255,29 @@ def test_pipeline_three_shapes():
     assert {"BP-Cycle", "Chain-Cycle", "Cycle-Cycle"} <= labels
     chain_cycle = [r for r in reports if classify(r.source_polynomial) == "Chain-Cycle"]
     assert any(
-        r.dual_profile.torsion == (13,)
+        r.dual_profile.torsion == ((13, 1),)
         and r.dual_verdict.verdict is Verdict.POSITIVE_RICCI_ONLY
         for r in chain_cycle
     )
     twins = [r for r in reports if classify(r.source_polynomial) in ("BP-Cycle", "Cycle-Cycle")]
     source = homology_profile(ws)
     assert twins and all(is_twin(source, r.dual_profile) for r in twins)
+
+
+def test_a_joint_multiple_is_its_primitive_system():
+    # the golden (13, 13, 125, 100, 75; 325) doubled: the profile's degree,
+    # the twins and the pipeline are those of the primitive system
+    ws = WeightSystem((26, 26, 250, 200, 150), 650)
+    assert (ws.weights, ws.degree) == ((13, 13, 125, 100, 75), 325)
+    source = homology_profile(ws)
+    assert source.degree == 325
+    reports = pipeline(ws)
+    assert len(reports) == 4
+    assert sum(is_twin(source, r.dual_profile) for r in reports) == 2
+    # (73, 73, 95, 45, 80; 365) tripled is still index one, so the closed
+    # forms cross-check its chain-cycle dual rather than skip it
+    ws = WeightSystem((219, 219, 285, 135, 240), 1095)
+    assert checked_dual(find_chain_cycle(ws), ws).skipped is None
 
 
 def test_pipeline_self_dual_quadric():
@@ -339,7 +355,7 @@ def test_pipeline_chain_cycle_off_index_one():
     assert len(transposed) == 2
     for r in transposed:
         assert r.dual_profile.b3 == 0
-        assert r.dual_profile.torsion == (25, 25)
+        assert r.dual_profile.torsion == ((25, 2),)
         assert r.dual_profile.mu == 240
 
 

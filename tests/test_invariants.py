@@ -1,6 +1,7 @@
 """Milnor numbers, Betti numbers, torsion, closed forms, branched covers."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -38,6 +39,11 @@ def test_milnor_number_rejects_non_integral():
         milnor_number(WeightSystem((2, 3, 4, 5, 6), 7))
 
 
+def test_betti_subset_sum_names_the_system():
+    with pytest.raises(NonIntegralMilnor, match=r"-8/513 is not an integer for \(19, 18, 5, 12, 16; d=20\)$"):
+        betti_subset_sum(WeightSystem((19, 18, 5, 12, 16), 20))
+
+
 def b3(ws):
     return homology_profile(ws).b3
 
@@ -62,11 +68,11 @@ def test_betti_routes_agree_on_random_systems():
 
 def test_orlik_torsion_examples():
     _, torsion = orlik_torsion(WeightSystem((15, 35, 14, 7, 35), 105))
-    assert torsion == (7,) * 26
+    assert torsion == ((7, 26),)
     _, torsion = orlik_torsion(WeightSystem((576, 1399, 82, 256, 576), 2880))
-    assert torsion == (90, 18, 18, 18)
+    assert torsion == ((90, 1), (18, 3))
     _, torsion = orlik_torsion(WeightSystem((13, 13, 125, 100, 75), 325))
-    assert torsion == (13,) * 24
+    assert torsion == ((13, 24),)
 
 
 def test_orlik_torsion_names_the_first_inexact_subset(monkeypatch, capsys):
@@ -92,26 +98,48 @@ def test_orlik_torsion_names_the_first_inexact_subset(monkeypatch, capsys):
 
 
 def test_orlik_worksheet_structure():
-    ws = WeightSystem((15, 35, 14, 7, 35), 105)
+    # two runs, so the divisibility and order checks below are not vacuous
+    ws = WeightSystem((576, 1399, 82, 256, 576), 2880)
     sheet, torsion = orlik_torsion(ws)
     # indexed by bitmask: 2^5 subsets, the empty one first
     assert len(sheet.c) == len(sheet.scaled_k) == 32
     assert sheet.c[0] == gcd(*ws.reduced().u)
     assert all(value >= 1 for value in sheet.c)
     assert all(type(value) is int for value in sheet.c + sheet.scaled_k + (sheet.scale, sheet.r))
-    assert sheet.r == 26 == max(sheet.scaled_k) // sheet.scale
-    # divisibility chain
-    for a, b in zip(torsion, torsion[1:]):
-        assert a % b == 0
+    assert sheet.r == 4 == max(sheet.scaled_k) // sheet.scale
+    assert torsion == ((90, 1), (18, 3))
+    # runs: factors strictly decrease and divide their predecessor, and each
+    # multiplicity is at least 1
+    for (a, _), (b, _) in zip(torsion, torsion[1:]):
+        assert a > b and a % b == 0
+    assert all(count >= 1 for _, count in torsion)
+
+
+def test_profile_runs_do_not_grow_with_the_multiplicity():
+    # the dual of a chain-cycle representation of (1^5; 10^7 + 1): one run of
+    # 9,999,999 copies, which an expanded tuple would hold in 80 MB or more
+    ws = WeightSystem(
+        (99999990000001, 99999999999999, 100000010000000, 100000000000000, 100000000000000),
+        1000000100000000000000,
+    )
+    tracemalloc.start()
+    try:
+        profile = homology_profile(ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert profile.torsion == ((100000010000000, 1), (10000000, 9999999))
+    assert profile.torsion_str() == "Z_100000010000000+Z_10000000^9999999"
+    assert peak < 1_000_000
 
 
 def test_homology_profile_examples():
     p = homology_profile(WeightSystem((219, 365, 420, 200, 260), 1460))
-    assert (p.b3, p.torsion, p.mu) == (0, (73,), 1224)
+    assert (p.b3, p.torsion, p.mu) == (0, ((73, 1),), 1224)
     p = homology_profile(WeightSystem((1858, 6503, 9597, 315, 1239), 19509))
-    assert (p.b3, p.torsion, p.mu) == (0, (929,), 17632)
+    assert (p.b3, p.torsion, p.mu) == (0, ((929, 1),), 17632)
     p = homology_profile(WeightSystem((1, 1, 1, 1, 1), 2))
-    assert (p.b3, p.torsion, p.mu) == (0, (2,), 1)
+    assert (p.b3, p.torsion, p.mu) == (0, ((2, 1),), 1)
 
 
 def test_torsion_order_equals_delta_order_for_rhs():
@@ -131,13 +159,13 @@ def test_alpha_beta_closed_forms():
     split = ws.split()
     assert alpha(split) == 1
     assert beta(split) == 1
-    assert homology_profile(ws).torsion == (881,) * (int(alpha(split)) + 1)
+    assert homology_profile(ws).torsion == ((881, int(alpha(split)) + 1),)
 
     ws = WeightSystem((73, 73, 95, 45, 80), 365)
     split = ws.split()
     assert alpha(split) == 3
     assert beta(split) == 1
-    assert homology_profile(ws).torsion == (73,) * (int(alpha(split)) + 1)
+    assert homology_profile(ws).torsion == ((73, int(alpha(split)) + 1),)
 
 
 def test_beta_is_one_for_rhs_splits():
@@ -270,7 +298,7 @@ def test_six_variable_profile_with_torsion():
     # rational homology sphere with H = Z_2 + Z_2 and mu = 8
     ws = WeightSystem((2, 2, 2, 3, 3, 3), 6)
     profile = homology_profile(ws)
-    assert (profile.b3, profile.torsion, profile.mu) == (0, (2, 2), 8)
+    assert (profile.b3, profile.torsion, profile.mu) == (0, ((2, 2),), 8)
     divisor = link_divisor(ws)
     assert divisor.delta_order_at_one() == 4
 

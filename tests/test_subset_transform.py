@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -57,7 +58,8 @@ def assert_matches_oracle(ws):
     assert got[1] == by_mask(k)
     assert got[2] == r
     if chain is not None:
-        assert got[3] == chain
+        # the oracle chain has one entry per copy; the package returns runs
+        assert got[3] == tuple((value, len(list(run))) for value, run in groupby(chain))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -85,5 +87,5 @@ def test_torsion_runs_do_not_scan_r(w, r):
     ws = WeightSystem((2, 2, 2, 2, w), 2 * w)
     sheet, torsion = orlik_torsion(ws)
     assert sheet.r == r
-    assert torsion == (2,)
-    assert homology_profile(ws).torsion == (2,)
+    assert torsion == ((2, 1),)
+    assert homology_profile(ws).torsion == ((2, 1),)

@@ -122,7 +122,9 @@ def test_weight_system_rejects_bad_data():
 
 
 def test_normalized_divides_jointly():
-    ws = WeightSystem((22, 22, 22, 22, 22), 44).normalized()
+    # a weight system is stored primitive: the constructor divides jointly
+    ws = WeightSystem((22, 22, 22, 22, 22), 44)
+    assert (ws.weights, ws.degree) == ((1, 1, 1, 1, 1), 2)
     assert ws == WeightSystem((1, 1, 1, 1, 1), 2)
 
 
