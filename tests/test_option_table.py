@@ -118,14 +118,21 @@ def block_violations(block):
     return InvertiblePolynomial(len(labels), (alone,)).validate()
 
 
+def system_id(weights, degree):
+    """The case name of the input, before WeightSystem divides out the joint gcd."""
+    return f"({', '.join(map(str, weights))}; d={degree})"
+
+
 @pytest.mark.parametrize(
     "ws",
-    [WeightSystem(w, d) for w, d in NAMED + SINGULAR_2_CYCLES]
+    [pytest.param(WeightSystem(w, d), id=system_id(w, d)) for w, d in NAMED + SINGULAR_2_CYCLES]
     # weights equal to d step to every variable with exponent 0 (and close
     # 3-cycles of them), a weight above d with a negative one; the
     # constructor rejects both, the table does not rely on that
-    + [unchecked_system((1, 1, 2, 2, 2), 2), unchecked_system((1, 1, 2, 2, 4), 2)],
-    ids=str,
+    + [
+        pytest.param(unchecked_system(w, d), id=system_id(w, d))
+        for w, d in (((1, 1, 2, 2, 2), 2), ((1, 1, 2, 2, 4), 2))
+    ],
 )
 def test_table_holds_exactly_the_valid_blocks(ws):
     table = _option_table(ws)
