@@ -25,7 +25,6 @@ from .errors import (
     CrossCheckFailed,
     NoRepresentation,
     NoSplit,
-    NonIntegralC,
     NonIntegralExpansion,
     NonIntegralMilnor,
     NonIntegralOrder,

@@ -24,16 +24,13 @@ from itertools import chain
 from pathlib import Path
 
 from .duality import Verdict, checked_dual, is_twin, pipeline, se_certificate
-from .errors import BhlinkError, CrossCheckFailed, NoRepresentation, NonIntegralC
+from .errors import BhlinkError, CrossCheckFailed, NoRepresentation
 from .fixture import ROWS, FixtureRow
 from .invariants import homology_profile
 from .polynomial import classify
 from .representation import count_representations, find_chain_cycle, iter_representations
 from .representation import has_invertible_representation
 from .weights import WeightSystem
-
-# the failures that mean bhlink computed something wrong, not that the input is bad
-_INTERNAL = (CrossCheckFailed, NonIntegralC)
 
 BATCH_OUTPUT_COLUMNS = [
     "b3",
@@ -70,14 +67,18 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     return weights
 
 
-def _build_system(weights: tuple[int, ...], degree: int) -> WeightSystem:
+def _weight_system(weights: tuple[int, ...], degree: int) -> WeightSystem:
     # for n <= 8 weights b3 <= mu < d^n, a torsion factor is at most prod u_i
     # <= d^n and a multiplicity at most max k <= 2^n d^n: 500 digits keep
     # every printed integer under CPython's 4,300-digit int-to-str limit
     if degree >= 10**500:
-        raise _InputError("invalid weight system: the degree has more than 500 digits")
+        raise ValueError("the degree has more than 500 digits")
+    return WeightSystem(weights, degree)
+
+
+def _build_system(weights: tuple[int, ...], degree: int) -> WeightSystem:
     try:
-        return WeightSystem(weights, degree)
+        return _weight_system(weights, degree)
     except (BhlinkError, ValueError) as exc:
         raise _InputError(f"invalid weight system: {exc}")
 
@@ -199,7 +200,7 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
             raise ValueError(f"{len(extra)} more fields than the header")
         weights = tuple(int(record[f"w{i}"]) for i in range(5))
         degree = int(record["d"])
-        ws = WeightSystem(weights, degree)
+        ws = _weight_system(weights, degree)
         profile = homology_profile(ws)
         verdict = se_certificate(ws)
         out.update(
@@ -223,7 +224,7 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
         for chosen in chain(first, iter_representations(ws)):
             try:
                 dual = checked_dual(chosen, ws)
-            except _INTERNAL:
+            except CrossCheckFailed:
                 raise  # a wrong dual is the row's error, not a reason to try the next
             except BhlinkError:
                 continue
@@ -457,7 +458,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before all output was written", file=sys.stderr)
         return 2
-    except _INTERNAL as exc:
+    except CrossCheckFailed as exc:
+        # bhlink computed something wrong; the input is not at fault
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return 3
     except (_InputError, BhlinkError) as exc:

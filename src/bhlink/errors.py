@@ -44,14 +44,6 @@ class NonIntegralMilnor(BhlinkError):
     """The Milnor number product formula does not yield an integer."""
 
 
-class NonIntegralC(BhlinkError):
-    """A division in the torsion subset recursion is inexact.
-
-    The recursion is proven exact for invertible-polynomial data; hitting
-    this on other input is reported per item rather than aborting a batch.
-    """
-
-
 class CrossCheckFailed(BhlinkError):
     """Two independent computations of the same invariant disagree."""
 

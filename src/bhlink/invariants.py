@@ -15,21 +15,20 @@ cross-checked:
   whose k is at least j, and the torsion group is the direct sum of Z/d_j.
 
 The subset route is integer-only.  Subsets of the index set are bitmasks.
-One cached pass per system reduces the weights and fills every per-mask
-array: D * f(T) for f(T) = prod u_T / (prod v_T * lcm u_T) over the common
-denominator D = prod v * lcm u, and the gcd of the u_i in each mask.  One
-additive Mobius pass turns the first into D times every inclusion-exclusion
-sum: the full set gives the Betti number, the odd-parity subsets give the
-k-numbers.  The subset sum and the torsion recursion of one profile both
-read that pass.  The c-numbers divide each complement gcd by the product of
-c over the proper submasks, in bitmask order, and the torsion worksheet
+One cached pass per system reduces the weights and fills two per-mask
+arrays: D * f(T) for f(T) = prod u_T / (prod v_T * lcm u_T) over the common
+denominator D = prod v * lcm u, and the gcd of the u_i outside each mask.
+One Mobius butterfly (one step per bit and mask) inverts both: additively,
+the first becomes D times every inclusion-exclusion sum (the full set gives
+the Betti number, the odd-parity subsets give the k-numbers); by exact
+division, the second becomes the c-numbers.  The subset sum and the torsion
+recursion of one profile both read that pass, and the torsion worksheet
 keeps the integer arrays c and D * k, indexed by bitmask.
 The torsion is returned as runs: the subsets with c > 1 are grouped by
 floor(k), and each gap between consecutive floors is one factor with its
 multiplicity, so no sequence with one entry per copy is ever built.  The
-cost is O(3^n) for the c-numbers and O(n 2^n) for the rest, in time and in
-memory; it does not depend on r = floor(max k), which grows like
-(d/w)^(n-1).
+cost is O(n 2^n) in time and O(2^n) in memory; it does not depend on
+r = floor(max k), which grows like (d/w)^(n-1).
 
 The torsion recursion is a theorem for chain type, cycle type and iterated
 Thom-Sebastiani sums of these (hence for every invertible polynomial) and a
@@ -48,7 +47,6 @@ from enum import Enum
 from .divisor import CyclotomicDivisor, expand_link_divisor
 from .errors import (
     CrossCheckFailed,
-    NonIntegralC,
     NonIntegralExpansion,
     NonIntegralMilnor,
     PoleAtT,
@@ -103,7 +101,8 @@ class TorsionWorksheet:
     """The c / k numbers of the torsion recursion, indexed by subset bitmask.
 
     Bit i of a mask stands for index i.  ``c`` values are positive integers
-    (the recursion divisions are asserted exact).  ``scaled_k`` holds
+    (every recursion division is exact for positive u_i, see
+    :func:`_subset_table`).  ``scaled_k`` holds
     ``scale * k``, so k(S) = scaled_k[S] / scale exactly; k is 0 on the
     subsets of parity weight 0.  ``r`` = floor(max k).  The full index set
     has no complement gcd; its parity weight is 0 so it never enters any
@@ -152,16 +151,23 @@ def milnor_number(ws: WeightSystem) -> int:
 
 @lru_cache(maxsize=1)
 def _subset_table(ws: WeightSystem) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """The per-mask arrays of one system: the signed subset sums, D and the gcds.
+    """The per-mask arrays of one system: the signed subset sums, D and the c-numbers.
 
     The first entry holds D * sum_{T subset S} (-1)^(|S|-|T|) f(T) for every
     bitmask S, with f(T) = prod u_T / (prod v_T * lcm u_T), f(empty) = 1,
     and D = prod v * lcm u, so every D * f(T) is an integer.  The last
-    entry holds the gcd of the u_i in each mask (0 for the empty one).  One
-    loop fills the products, lcms and gcds of every T | {i} from T, then one
-    additive Mobius pass (one subtraction per bit and mask) forms the signed
-    subset sums.  The last system's arrays are kept: the subset sum and the
-    torsion recursion of one profile read the same ones.
+    entry holds c(S): the gcd g(S) of the u_i outside S over the product of
+    c on the proper subsets of S (the full set has no g; its c is 1).  One
+    loop fills the products, lcms and gcds of every T | {i} from T; one
+    Mobius butterfly then inverts both arrays, per bit and mask, by a
+    subtraction and by a division.  The last system's arrays are kept: the
+    subset sum and the torsion recursion of one profile read the same ones.
+
+    Every division is exact for positive u_i.  For a prime p let x_i =
+    v_p(u_i) and B_k = {i : x_i < k}; then v_p(g(T)) = #{k >= 1 : B_k
+    subset T}.  Once the bits in P are done, entry S holds the valuation
+    #{k >= 1 : B_k subset S, S & P subset B_k} >= 0; at the end that is
+    v_p(c(S)) = #{k : B_k = S}.  The full set's entry is never a divisor.
     """
     red = ws.reduced()
     size = 1 << len(red.u)
@@ -177,13 +183,16 @@ def _subset_table(ws: WeightSystem) -> tuple[tuple[int, ...], int, tuple[int, ..
             gcd_u[t | bit] = gcd(gcd_u[t], ui)
     lcm_all = lcm_u[-1]
     table = [m * (lcm_all // l) for m, l in zip(mixed, lcm_u)]
+    c = gcd_u[::-1]  # the gcd outside S, as full ^ S == full - S
     bit = 1
     while bit < size:
         for base in range(bit, size, 2 * bit):
             for s in range(base, base + bit):
                 table[s] -= table[s ^ bit]
+                c[s] //= c[s ^ bit]
         bit <<= 1
-    return tuple(table), prod_v * lcm_all, tuple(gcd_u)
+    c[-1] = 1  # the full set: its parity weight is 0, so it never enters a d_j
+    return tuple(table), prod_v * lcm_all, tuple(c)
 
 
 def betti_subset_sum(ws: WeightSystem) -> int:
@@ -208,41 +217,21 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[tuple[int, 
 
     c over the ordered subsets S of {0..n}: the gcd of the u_i *outside* S
     divided by the product of c over all proper subsets of S; the division
-    must be exact (:class:`NonIntegralC` otherwise, naming the first inexact
-    subset in bitmask order).  k weights each subset by the parity epsilon
-    of n - |S| + 1 times the inclusion-exclusion sum over its own subsets.
-    The torsion comes back as (d_j, multiplicity) runs, as in
-    :class:`HomologyProfile`; unit coefficients are dropped.
+    is exact for any positive u_i (proof at :func:`_subset_table`).  k
+    weights each subset by the parity epsilon of n - |S| + 1 times the
+    inclusion-exclusion sum over its own subsets.  The torsion comes back as
+    (d_j, multiplicity) runs, as in :class:`HomologyProfile`; unit
+    coefficients are dropped.
 
-    Subsets are bitmasks and the arithmetic is integer.  The complement
-    gcds, D and D * k for every subset come from the one cached pass of
-    :func:`_subset_table` (O(n 2^n)).  c runs over the masks in increasing
-    order, each by a walk over its proper submasks (O(3^n)); a proper
-    submask is a smaller number, so its c is already known.  floor(k) is
-    integer floor division by D (k >= j exactly when floor(k) >= j).  d_j is
-    constant between consecutive values of floor(k) over the subsets with
-    c > 1, so each gap is one (d_j, multiplicity) run; the cost does not
-    depend on r.
+    Subsets are bitmasks and the arithmetic is integer.  c, D and D * k for
+    every subset come from the one cached butterfly of :func:`_subset_table`
+    (O(n 2^n)).  floor(k) is integer floor division by D (k >= j exactly
+    when floor(k) >= j).  d_j is constant between consecutive values of
+    floor(k) over the subsets with c > 1, so each gap is one (d_j,
+    multiplicity) run; the cost does not depend on r.
     """
-    table, scale, gcd_u = _subset_table(ws)
+    table, scale, c = _subset_table(ws)
     n1 = ws.n_vars
-    full = len(table) - 1
-    c = [1] * len(table)  # the full set keeps c = 1: its parity weight is 0
-    for mask in range(full):
-        denominator = 1
-        sub = mask
-        while sub:
-            sub = (sub - 1) & mask
-            denominator *= c[sub]
-        numerator = gcd_u[full ^ mask]
-        if numerator % denominator != 0:
-            subset = tuple(i for i in range(n1) if mask >> i & 1)
-            raise NonIntegralC(
-                f"c-recursion inexact at subset {subset} for {ws}: "
-                f"{numerator} / {denominator}"
-            )
-        c[mask] = numerator // denominator
-
     # the parity weight of S is 1 when n1 - |S| is odd and 0 otherwise
     scaled_k = tuple(
         entry if (n1 - mask.bit_count()) & 1 else 0 for mask, entry in enumerate(table)
@@ -261,7 +250,7 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[tuple[int, 
         d //= by_floor[level]
         previous = level
 
-    sheet = TorsionWorksheet(c=tuple(c), scaled_k=scaled_k, scale=scale, r=max(scaled_k) // scale)
+    sheet = TorsionWorksheet(c=c, scaled_k=scaled_k, scale=scale, r=max(scaled_k) // scale)
     return sheet, tuple(runs)
 
 

@@ -24,7 +24,6 @@ from math import floor, gcd, lcm
 from bhlink.divisor import CyclotomicDivisor
 from bhlink.errors import (
     NoRepresentation,
-    NonIntegralC,
     NonIntegralMilnor,
     NonPositiveWeights,
     SingularSystem,
@@ -173,8 +172,7 @@ def oracle_worksheet(ws: WeightSystem):
         for size in range(len(subset)):
             for proper in combinations(subset, size):
                 denominator *= c[proper]
-        if numerator % denominator != 0:
-            raise NonIntegralC(f"c-recursion inexact at subset {subset} for {ws}")
+        assert numerator % denominator == 0, f"c-recursion inexact at subset {subset} for {ws}"
         c[subset] = numerator // denominator
     k = {
         subset: _inclusion_exclusion(u, v, subset) if (n1 - len(subset)) % 2 else Fraction(0)

@@ -17,7 +17,7 @@ PUBLIC = {
     "bh_dual", "chain_cycle_closed_forms", "ClosedFormPrediction", "is_twin", "swap_twin",
     "pipeline", "DualReport", "se_certificate", "SasakiVerdict", "Verdict",
     # errors
-    "BhlinkError", "CrossCheckFailed", "NoRepresentation", "NoSplit", "NonIntegralC",
+    "BhlinkError", "CrossCheckFailed", "NoRepresentation", "NoSplit",
     "NonIntegralExpansion", "NonIntegralMilnor", "NonIntegralOrder", "NonPositiveWeights",
     "PoleAtT", "PreconditionFailed", "SingularSystem",
 }

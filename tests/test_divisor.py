@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bhlink import CyclotomicDivisor, WeightSystem, expand_link_divisor
-from bhlink.errors import NonIntegralExpansion, PoleAtT
+from bhlink.errors import NonIntegralExpansion, NonIntegralOrder, PoleAtT
 from bhlink.invariants import link_divisor
 
 from oracles import (
@@ -136,6 +136,9 @@ def test_delta_order_at_one():
         link_divisor(WeightSystem((13, 13, 125, 100, 75), 325)).delta_order_at_one()
         == 13**24
     )
+    # coefficient sum 0, but the value at t = 1 is 1/2
+    with pytest.raises(NonIntegralOrder, match=r"1/2 is not an integer"):
+        D({1: 1, 2: -1}).delta_order_at_one()
 
 
 def test_delta_eval_simple_points():

@@ -20,8 +20,7 @@ from bhlink import (
     milnor_number,
     orlik_torsion,
 )
-from bhlink.cli import main
-from bhlink.errors import CrossCheckFailed, NoSplit, NonIntegralC, NonIntegralMilnor
+from bhlink.errors import CrossCheckFailed, NoSplit, NonIntegralMilnor
 from bhlink.fixture import ROWS
 
 from generators import random_weight_system, theorem_population
@@ -73,28 +72,6 @@ def test_orlik_torsion_examples():
     assert torsion == ((90, 1), (18, 3))
     _, torsion = orlik_torsion(WeightSystem((13, 13, 125, 100, 75), 325))
     assert torsion == ((13, 24),)
-
-
-def test_orlik_torsion_names_the_first_inexact_subset(monkeypatch, capsys):
-    # on (15, 35, 14, 7, 35; 105) c of {0} is 3, so a complement gcd of 7 on
-    # {0, 1, 2} (mask 7) and on {0, 3} (mask 9) is inexact at both; bitmask
-    # order reaches (0, 1, 2) first, where size order would name (0, 3)
-    ws = WeightSystem((15, 35, 14, 7, 35), 105)
-    real = invariants._subset_table
-
-    def inexact(ws):
-        table, scale, gcds = real(ws)
-        gcds, full = list(gcds), len(table) - 1
-        gcds[full ^ 7] = gcds[full ^ 9] = 7
-        return table, scale, tuple(gcds)
-
-    monkeypatch.setattr(invariants, "_subset_table", inexact)
-    with pytest.raises(NonIntegralC, match=r"subset \(0, 1, 2\) .*: 7 / "):
-        orlik_torsion(ws)
-    assert main(["analyze", "-w", "15,35,14,7,35", "-d", "105"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("cross-check failure: c-recursion inexact at subset (0, 1, 2)")
 
 
 def test_orlik_worksheet_structure():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -78,6 +79,22 @@ def test_subset_transform_matches_oracle_on_raw_weights(data, n, degree):
     # most raw data defines no link: the error types must agree as well
     weights = data.draw(st.tuples(*[st.integers(1, degree - 1)] * n))
     assert_matches_oracle(WeightSystem(weights, degree))
+
+
+# many shared prime powers, so the gcds outside the subsets are deep and
+# every division of the c butterfly has something to cancel
+HIGHLY_COMPOSITE = (2, 4, 6, 12, 24, 36, 48, 60, 120, 180, 240, 360, 720, 840, 1260, 2520, 5040)
+
+
+@settings(max_examples=80, deadline=None)
+@given(u=st.lists(st.sampled_from(HIGHLY_COMPOSITE), min_size=2, max_size=8))
+def test_c_numbers_match_the_oracle_on_highly_composite_u(u):
+    # (d/u_i; d) with d = lcm(u) is primitive and reduces to exactly these u_i
+    d = lcm(*u)
+    ws = WeightSystem(tuple(d // ui for ui in u), d)
+    assert ws.reduced().u == tuple(u)
+    c, _, _ = oracle_worksheet(ws)
+    assert list(orlik_torsion(ws)[0].c) == by_mask(c)
 
 
 @pytest.mark.parametrize("w, r", [(100, 960_597), (1000, 996_005_997)])

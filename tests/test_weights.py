@@ -112,6 +112,8 @@ def test_split_rejected():
         WeightSystem((12, 12, 14, 21, 21, 24), 84).split()
     with pytest.raises(NoSplit, match="does not partition"):
         WeightSystem((881, 881, 465, 99, 318), 2643).split(((0, 1), (1, 2, 3)))
+    with pytest.raises(NoSplit, match=r"gcd\(m2, m3\) = gcd\(6, 2\) != 1"):
+        WeightSystem((2, 2, 3, 3, 3), 12).split(((0, 1), (2, 3, 4)))
 
 
 def test_weight_system_rejects_bad_data():
