@@ -26,10 +26,9 @@ from pathlib import Path
 from .duality import Verdict, checked_dual, is_twin, pipeline, se_certificate
 from .errors import BhlinkError, CrossCheckFailed, NoRepresentation
 from .fixture import ROWS, FixtureRow
-from .invariants import homology_profile
+from .invariants import HomologyProfile, homology_profile
 from .polynomial import classify
 from .representation import count_representations, find_chain_cycle, iter_representations
-from .representation import has_invertible_representation
 from .weights import WeightSystem
 
 BATCH_OUTPUT_COLUMNS = [
@@ -54,12 +53,23 @@ class _InputError(Exception):
     pass
 
 
+def _parse_int(text: str, field: str) -> int:
+    # for n <= 8 weights b3 <= mu < d^n, a torsion factor is at most prod u_i
+    # <= d^n and a multiplicity at most max k <= 2^n d^n: a 500-digit degree
+    # (and weights below it) keeps every printed integer under CPython's
+    # 4,300-digit int-to-str limit.  Counted before int(), which refuses a
+    # field of more than 4,300 digits with that limit's own message
+    if len(text.strip().lstrip("+-").replace("_", "").lstrip("0")) > 500:
+        raise ValueError(f"{field} has more than 500 digits")
+    return int(text)
+
+
 def _parse_weights(text: str) -> tuple[int, ...]:
     fields = text.replace(" ", "").split(",")
     if "" in fields:
         raise _InputError(f"weight field {fields.index('') + 1} of {text!r} is blank")
     try:
-        weights = tuple(int(part) for part in fields)
+        weights = tuple(_parse_int(part, f"weight field {i}") for i, part in enumerate(fields, start=1))
     except ValueError as exc:
         raise _InputError(f"weights must be integers: {exc}")
     if not 5 <= len(weights) <= 8:
@@ -67,29 +77,21 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     return weights
 
 
-def _weight_system(weights: tuple[int, ...], degree: int) -> WeightSystem:
-    # for n <= 8 weights b3 <= mu < d^n, a torsion factor is at most prod u_i
-    # <= d^n and a multiplicity at most max k <= 2^n d^n: 500 digits keep
-    # every printed integer under CPython's 4,300-digit int-to-str limit
-    if degree >= 10**500:
-        raise ValueError("the degree has more than 500 digits")
-    return WeightSystem(weights, degree)
-
-
-def _build_system(weights: tuple[int, ...], degree: int) -> WeightSystem:
+def _build_system(args: argparse.Namespace) -> WeightSystem:
+    weights = _parse_weights(args.weights)
     try:
-        return _weight_system(weights, degree)
+        return WeightSystem(weights, _parse_int(args.degree, "the degree"))
     except (BhlinkError, ValueError) as exc:
         raise _InputError(f"invalid weight system: {exc}")
 
 
-def _analyze_record(ws: WeightSystem) -> dict:
+def _system_record(ws: WeightSystem) -> tuple[dict, HomologyProfile, int]:
+    """``analyze``'s record of the data, its profile and its number of
+    invertible representations: each command's source fields, computed once."""
     profile = homology_profile(ws)
     verdict = se_certificate(ws)
-    # the torsion recursion is a theorem exactly for data carrying an
-    # invertible polynomial; otherwise its output is conjectural
-    certified = has_invertible_representation(ws)
-    return {
+    count = count_representations(ws)
+    record = {
         "weights": list(ws.weights),
         "degree": ws.degree,
         "betti": profile.b3,
@@ -105,12 +107,15 @@ def _analyze_record(ws: WeightSystem) -> dict:
             "inequality_holds": verdict.inequality_holds,
             "verdict": verdict.verdict.value,
         },
-        "torsion_status": "certified" if certified else "conjectural",
+        # the torsion recursion is a theorem exactly for data carrying an
+        # invertible polynomial; otherwise its output is conjectural
+        "torsion_status": "certified" if count else "conjectural",
     }
+    return record, profile, count
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    record = _analyze_record(_build_system(_parse_weights(args.weights), args.degree))
+    record, _, _ = _system_record(_build_system(args))
     if args.json:
         print(json.dumps(record, indent=2))
         return 0
@@ -129,11 +134,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    ws = _build_system(_parse_weights(args.weights), args.degree)
+    ws = _build_system(args)
     reports = pipeline(ws)
     # after pipeline(), so an over-budget system is refused before any profile
-    source = homology_profile(ws)
-    source_verdict = se_certificate(ws).verdict.value
+    record, source, _ = _system_record(ws)
+    source_verdict = record["se"]["verdict"]
     if args.json:
         payload = []
         for rep in reports:
@@ -157,24 +162,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                     }
                 )
             payload.append(entry)
-        print(
-            json.dumps(
-                {
-                    "weights": list(ws.weights),
-                    "degree": ws.degree,
-                    "betti": source.b3,
-                    "torsion": source.torsion,
-                    "milnor": source.mu,
-                    "representations": payload,
-                },
-                indent=2,
-            )
-        )
+        head = {key: record[key] for key in ("weights", "degree", "betti", "torsion", "milnor")}
+        print(json.dumps({**head, "representations": payload}, indent=2))
         return 0
     if not reports:
         print(f"no invertible representation matches {ws}")
         return 0
-    print(f"source {ws}: b3={source.b3}  H3={source.torsion_str()}  mu={source.mu}")
+    print(f"source {ws}: b3={record['betti']}  H3={record['torsion_str']}  mu={record['milnor']}")
     for rep in reports:
         print(f"\n[{classify(rep.source_polynomial)}]  {rep.source_polynomial}")
         if rep.error:
@@ -198,22 +192,20 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
     try:
         if extra:
             raise ValueError(f"{len(extra)} more fields than the header")
-        weights = tuple(int(record[f"w{i}"]) for i in range(5))
-        degree = int(record["d"])
-        ws = _weight_system(weights, degree)
-        profile = homology_profile(ws)
-        verdict = se_certificate(ws)
+        weights = tuple(_parse_int(record[f"w{i}"], f"w{i}") for i in range(5))
+        ws = WeightSystem(weights, _parse_int(record["d"], "the degree"))
+        source, profile, count = _system_record(ws)
         out.update(
             {
-                "b3": str(profile.b3),
-                "torsion": profile.torsion_str(),
-                "mu": str(profile.mu),
-                "index": str(ws.fano_index()),
-                "wellformed": str(ws.is_wellformed_hypersurface()).lower(),
-                "se_verdict": verdict.verdict.value,
+                "b3": str(source["betti"]),
+                "torsion": source["torsion_str"],
+                "mu": str(source["milnor"]),
+                "index": str(source["fano_index"]),
+                "wellformed": str(source["wellformed_hypersurface"]).lower(),
+                "se_verdict": source["se"]["verdict"],
+                "n_reps": str(count),
             }
         )
-        out["n_reps"] = str(count_representations(ws))
         # report the chain-cycle dual when one exists (the shape whose dual
         # is genuinely new); otherwise the first representation in canonical
         # order with a nondegenerate dual, built only as far as that one
@@ -359,17 +351,14 @@ def verify_row(row: FixtureRow) -> tuple[bool, str]:
         ws = WeightSystem(row.source, row.source_degree)
         dual = checked_dual(find_chain_cycle(ws), ws)
         dual_ws, profile = dual.dual_weights, dual.dual_profile
-        problems = []
-        if sorted(dual_ws.weights) != sorted(row.dual):
-            problems.append(f"dual weights {sorted(dual_ws.weights)} != {sorted(row.dual)}")
-        if dual_ws.degree != row.dual_degree:
-            problems.append(f"dual degree {dual_ws.degree} != {row.dual_degree}")
-        if profile.mu != row.dual_mu:
-            problems.append(f"dual mu {profile.mu} != {row.dual_mu}")
-        if profile.torsion != row.dual_torsion:
-            problems.append(f"dual torsion {profile.torsion} != {row.dual_torsion}")
-        if profile.b3 != 0:
-            problems.append(f"dual b3 {profile.b3} != 0")
+        checks = [
+            ("dual weights", sorted(dual_ws.weights), sorted(row.dual)),
+            ("dual degree", dual_ws.degree, row.dual_degree),
+            ("dual mu", profile.mu, row.dual_mu),
+            ("dual torsion", profile.torsion, row.dual_torsion),
+            ("dual b3", profile.b3, 0),
+        ]
+        problems = [f"{label} {got} != {want}" for label, got, want in checks if got != want]
         if dual.skipped:
             problems.append(f"closed forms not applicable: {dual.skipped}")
         if dual.dual_verdict.verdict is not Verdict.SASAKI_EINSTEIN:
@@ -418,13 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="profile of a single weight system")
     analyze.add_argument("-w", "--weights", required=True, help="comma-separated weights")
-    analyze.add_argument("-d", "--degree", type=int, required=True)
+    analyze.add_argument("-d", "--degree", required=True)
     analyze.add_argument("--json", action="store_true")
     analyze.set_defaults(func="cmd_analyze")
 
     pipe = sub.add_parser("pipeline", help="dual report for every representation")
     pipe.add_argument("-w", "--weights", required=True, help="comma-separated weights")
-    pipe.add_argument("-d", "--degree", type=int, required=True)
+    pipe.add_argument("-d", "--degree", required=True)
     pipe.add_argument("--json", action="store_true")
     pipe.set_defaults(func="cmd_pipeline")
 

@@ -64,14 +64,22 @@ def test_analyze_invalid_input_exit_2(capsys):
     assert main(["analyze", "-w", "7,1,1,1,1", "-d", "5"]) == 2
     assert main(["analyze", "-w", "1,x,1,1,1", "-d", "5"]) == 2
     assert "error: weights must be integers" in capsys.readouterr().err
+    assert main(["analyze", "-w", "1,1,1,1,1", "-d", "x"]) == 2
+    assert capsys.readouterr().err == "error: invalid weight system: invalid literal for int() with base 10: 'x'\n"
 
 
 def test_analyze_degree_over_500_digits_exit_2(capsys):
-    # a longer degree could give results past CPython's int-to-str limit
-    assert main(["analyze", "-w", "1,1,1,1,1", "-d", str(10**1500 + 1)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: invalid weight system: the degree has more than 500 digits\n"
+    # a longer degree could give results past CPython's int-to-str limit;
+    # past 4,300 digits int() itself would refuse the field with its own message
+    for weights, degree, message in (
+        ("1,1,1,1,1", str(10**1500 + 1), "invalid weight system: the degree has more than 500 digits"),
+        ("1,1,1,1,1", "1" + "0" * 5000, "invalid weight system: the degree has more than 500 digits"),
+        ("1" + "0" * 4999 + ",1,1,1,1", "7", "weights must be integers: weight field 1 has more than 500 digits"),
+    ):
+        assert main(["analyze", "-w", weights, "-d", degree]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
     # 500 digits is allowed, on eight variables too, where mu has 3,993 digits
     for weights in ("1,1,1,1,1", "1,1,1,1,1,1,1,1"):
         assert main(["analyze", "-w", weights, "-d", str(10**499 + 1), "--json"]) == 0
@@ -102,6 +110,36 @@ def test_pipeline_text(capsys):
     assert "\n[BP-Chain]" in out
     assert "  error: NonPositiveWeights: weight ray [0, 22, 6, 66, 33] has a non-positive entry\n" in out
     assert "dual weights (6, 22, 30, 36, 33; d=66)" in out
+
+
+def test_text_views_byte_for_byte(capsys):
+    # perfbench digests only --json, batch and verify-table output
+    code, out = run(capsys, "analyze", "-w", "15,35,14,7,35", "-d", "105")
+    assert (code, out) == (
+        0,
+        "weight system   (15, 35, 14, 7, 35)  d = 105\n"
+        "b3              0\n"
+        "H3 torsion      Z_7^26  [certified]\n"
+        "Milnor number   2184\n"
+        "RHS             True\n"
+        "well-formed     space: False   hypersurface: False\n"
+        "Fano index      1\n"
+        "SE verdict      SasakiEinstein\n",
+    )
+    code, out = run(capsys, "pipeline", "-w", "12,22,6,54,33", "-d", "66")
+    assert (code, out) == (
+        0,
+        "source (12, 22, 6, 54, 33; d=66): b3=0  H3=1  mu=20\n"
+        "\n"
+        "[BP-Chain]  z2*z0^5 + z1^3 + z2^11 + z0*z3 + z4^2\n"
+        "  error: NonPositiveWeights: weight ray [0, 22, 6, 66, 33] has a non-positive entry\n"
+        "\n"
+        "[BP-Cycle]  z2*z0^5 + z1^3 + z3*z2^2 + z0*z3 + z4^2\n"
+        "  dual  z3*z0^5 + z1^3 + z0*z2^2 + z2*z3 + z4^2\n"
+        "  dual weights (6, 22, 30, 36, 33; d=66)\n"
+        "  dual profile b3=0  H3=1  mu=20\n"
+        "  twin=True  source SE=PositiveRicciOnly  dual SE=PositiveRicciOnly\n",
+    )
 
 
 def test_pipeline_json_three_sections(capsys):
@@ -214,6 +252,10 @@ def test_batch_no_representation_row(tmp_path, capsys):
     assert record["n_reps"] == "0"
     assert record["dual_w"] == ""
     assert record["b3"] == "138"
+    # the torsion tag reads the same count as n_reps
+    code, out = run(capsys, "analyze", "-w", "1,1,1,1,4", "-d", "7", "--json")
+    assert code == 0
+    assert json.loads(out)["torsion_status"] == "conjectural"
 
 
 def test_batch_dual_falls_back_past_a_degenerate_first(tmp_path, capsys):
@@ -512,13 +554,18 @@ def test_batch_long_row_is_that_rows_error(tmp_path, capsys):
 
 def test_batch_huge_degree_is_that_rows_error(tmp_path, capsys):
     # the 500-digit guard of analyze holds per row: 10^700 + 1 would print a
-    # 3,501-digit mu, and 10^1500 + 1 trip CPython's int-to-str limit
-    huge, huger, last = _batch_records(
-        tmp_path, capsys, f"1,1,1,1,1,{10**700 + 1}\n1,1,1,1,1,{10**1500 + 1}\n15,35,14,7,35,105\n"
+    # 3,501-digit mu, 10^1500 + 1 trip CPython's int-to-str limit, and a field
+    # of 10^5000 its str-to-int limit
+    huge, huger, hugest, weight, last = _batch_records(
+        tmp_path,
+        capsys,
+        f"1,1,1,1,1,{10**700 + 1}\n1,1,1,1,1,{10**1500 + 1}\n1,1,1,1,1,1{'0' * 5000}\n"
+        f"1{'0' * 4999},1,1,1,1,5\n15,35,14,7,35,105\n",
     )
-    for row in (huge, huger):
+    for row in (huge, huger, hugest):
         assert row["error"] == "ValueError: the degree has more than 500 digits"
         assert row["mu"] == ""
+    assert weight["error"] == "ValueError: w0 has more than 500 digits"
     assert last["error"] == "" and last["torsion"] == "Z_7^26"
 
 
@@ -649,7 +696,8 @@ def test_replaced_command_runs_after_the_parser_is_built(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_parser", None)
     monkeypatch.setattr(cli, "cmd_analyze", lambda args: calls.append(args.degree) or 7)
     assert main(["analyze", "-w", "1,1,1,1,1", "-d", "2"]) == 7
-    assert calls == [2]
+    # the command parses the degree, with the weights
+    assert calls == ["2"]
     capsys.readouterr()
 
 
