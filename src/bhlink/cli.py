@@ -26,7 +26,7 @@ from pathlib import Path
 from .duality import Verdict, checked_dual, is_twin, pipeline, se_certificate
 from .errors import BhlinkError, CrossCheckFailed, NoRepresentation
 from .fixture import ROWS, FixtureRow
-from .invariants import HomologyProfile, homology_profile
+from .invariants import HomologyProfile, _profile_memo, homology_profile
 from .polynomial import classify
 from .representation import count_representations, find_chain_cycle, iter_representations
 from .weights import WeightSystem
@@ -91,6 +91,7 @@ def _system_record(ws: WeightSystem) -> tuple[dict, HomologyProfile, int]:
     profile = homology_profile(ws)
     verdict = se_certificate(ws)
     count = count_representations(ws)
+    space, hypersurface = ws.wellformedness()
     record = {
         "weights": list(ws.weights),
         "degree": ws.degree,
@@ -99,8 +100,8 @@ def _system_record(ws: WeightSystem) -> tuple[dict, HomologyProfile, int]:
         "torsion_str": profile.torsion_str(),
         "milnor": profile.mu,
         "rational_homology_sphere": profile.b3 == 0,
-        "wellformed_space": ws.is_wellformed_space(),
-        "wellformed_hypersurface": ws.is_wellformed_hypersurface(),
+        "wellformed_space": space,
+        "wellformed_hypersurface": hypersurface,
         "fano_index": ws.fano_index(),
         "se": {
             "fano": verdict.fano,
@@ -306,7 +307,8 @@ def _parse_torsion(text: str) -> tuple[tuple[int, int], ...]:
         if not part.startswith("Z_"):
             raise ValueError(f"bad torsion field {text!r}")
         factor, caret, count = part[2:].partition("^")
-        runs.append((int(factor), int(count) if caret else 1))
+        value = _parse_int(factor, "a torsion factor")
+        runs.append((value, _parse_int(count, "a torsion multiplicity") if caret else 1))
     return tuple(runs)
 
 
@@ -333,10 +335,10 @@ def _load_fixture_csv(path: Path) -> list[FixtureRow]:
         try:
             rows.append(
                 FixtureRow(
-                    source=tuple(int(record[f"w{i}"]) for i in range(5)),
-                    dual=tuple(int(record[f"tw{i}"]) for i in range(5)),
-                    dual_degree=int(record["dual_d"]),
-                    dual_mu=int(record["dual_mu"]),
+                    source=tuple(_parse_int(record[f"w{i}"], f"w{i}") for i in range(5)),
+                    dual=tuple(_parse_int(record[f"tw{i}"], f"tw{i}") for i in range(5)),
+                    dual_degree=_parse_int(record["dual_d"], "dual_d"),
+                    dual_mu=_parse_int(record["dual_mu"], "dual_mu"),
                     dual_torsion=_parse_torsion(record["dual_torsion"]),
                 )
             )
@@ -438,8 +440,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # the command is looked up by name at call time, so a replaced cmd_* runs
-        code = globals()[args.func](args)
+        # the command is looked up by name at call time, so a replaced cmd_* runs;
+        # it profiles each distinct system once, and forked batch workers inherit that
+        with _profile_memo():
+            code = globals()[args.func](args)
         sys.stdout.flush()
     except BrokenPipeError:
         # stdout was closed early (say, piped into head); point it at devnull

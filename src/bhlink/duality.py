@@ -41,7 +41,7 @@ from itertools import combinations
 from math import gcd, prod
 
 from .errors import BhlinkError, CrossCheckFailed, NoSplit, PreconditionFailed
-from .invariants import HomologyProfile, homology_profile
+from .invariants import HomologyProfile, _profile_memo, homology_profile
 from .polynomial import Block, BlockKind, InvertiblePolynomial, classify
 from .representation import count_representations, enumerate_representations
 from .weights import WeightSystem, solve_weights
@@ -271,8 +271,9 @@ def pipeline(ws: WeightSystem) -> list[DualReport]:
     A representation whose dual fails gets ``DualReport(poly, error=...)``
     rather than aborting the rest.  Data with more than ``PIPELINE_BUDGET``
     representations raises :class:`PreconditionFailed` before any is built.
-    The source is not profiled here: a report's dual is a twin when
-    ``is_twin(homology_profile(ws), report.dual_profile)``.
+    Each distinct dual system is profiled once per call (or once per
+    command, under ``bhlink``).  The source is not profiled here: a report's
+    dual is a twin when ``is_twin(homology_profile(ws), report.dual_profile)``.
     """
     count = count_representations(ws)
     if count > PIPELINE_BUDGET:
@@ -280,9 +281,10 @@ def pipeline(ws: WeightSystem) -> list[DualReport]:
             f"{ws} has {count} invertible representations, over the pipeline budget of {PIPELINE_BUDGET}"
         )
     reports: list[DualReport] = []
-    for poly in enumerate_representations(ws):
-        try:
-            reports.append(checked_dual(poly, ws))
-        except BhlinkError as exc:
-            reports.append(DualReport(poly, error=f"{type(exc).__name__}: {exc}"))
+    with _profile_memo():
+        for poly in enumerate_representations(ws):
+            try:
+                reports.append(checked_dual(poly, ws))
+            except BhlinkError as exc:
+                reports.append(DualReport(poly, error=f"{type(exc).__name__}: {exc}"))
     return reports

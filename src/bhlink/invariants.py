@@ -34,10 +34,17 @@ The torsion recursion is a theorem for chain type, cycle type and iterated
 Thom-Sebastiani sums of these (hence for every invertible polynomial) and a
 conjecture otherwise; callers that care can check whether the weight system
 admits an invertible representation.
+
+Inside a :func:`_profile_memo` scope (one ``bhlink`` command, or one
+``duality.pipeline`` call) :func:`homology_profile` computes each distinct
+system once: the profile is a symmetric function of the primitive weights,
+so the memo key is the sorted weights and the degree.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -254,16 +261,59 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[tuple[int, 
     return sheet, tuple(runs)
 
 
+# (sorted weights, degree) -> profile, while a _profile_memo scope is open
+_MEMO: ContextVar[dict[tuple[tuple[int, ...], int], HomologyProfile] | None] = ContextVar(
+    "bhlink_profile_memo", default=None
+)
+# about 500 bytes an entry; past this the oldest entry makes room
+_MEMO_SIZE = 4096
+
+
+@contextmanager
+def _profile_memo():
+    """Memoize :func:`homology_profile` for the calls made inside the block.
+
+    A nested scope reuses the open one.  Workers forked inside the scope
+    inherit its entries.  The memo ends with the outermost block, so no
+    later command reads a profile computed before it started.
+    """
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def homology_profile(ws: WeightSystem) -> HomologyProfile:
     """Bundle Betti number, torsion runs, Milnor number and degree.
 
-    Cross-checks on every call: the product-formula Milnor number equals the
-    divisor root count, and for rational homology spheres the product of the
-    torsion coefficients equals |Delta(1)|.  When every gcd(d, w_i) = 1 each
-    u_i is d, so the divisor is s L_1 + x L_d with s = (-1)^(n+1), and
-    mu - s = d (b - s): mu + 1 = d (b + 1) for an odd number of variables,
-    mu - 1 = d (b - 1) for an even one.
+    Cross-checks on every computed profile: the product-formula Milnor
+    number equals the divisor root count, and for rational homology spheres
+    the product of the torsion coefficients equals |Delta(1)|.  When every
+    gcd(d, w_i) = 1 each u_i is d, so the divisor is s L_1 + x L_d with
+    s = (-1)^(n+1), and mu - s = d (b - s): mu + 1 = d (b + 1) for an odd
+    number of variables, mu - 1 = d (b - 1) for an even one.  Inside a
+    :func:`_profile_memo` scope a system whose sorted weights and degree
+    were already profiled is not computed again; a failure is never
+    memoized, so its error names the system in its own order.
     """
+    memo = _MEMO.get()
+    if memo is None:
+        return _computed_profile(ws)
+    key = (tuple(sorted(ws.weights)), ws.degree)
+    profile = memo.get(key)
+    if profile is None:
+        profile = _computed_profile(ws)
+        if len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = profile
+    return profile
+
+
+def _computed_profile(ws: WeightSystem) -> HomologyProfile:
     divisor = link_divisor(ws)
     b = divisor.coefficient_sum()
     b_direct = betti_subset_sum(ws)

@@ -95,14 +95,14 @@ class WeightSystem:
 
     def is_wellformed_hypersurface(self) -> bool:
         """Well-formed ambient space and every codimension-2 gcd divides d."""
-        if not self.is_wellformed_space():
-            return False
-        idx = range(len(self.weights))
-        for drop in combinations(idx, 2):
-            rest = [self.weights[i] for i in idx if i not in drop]
-            if self.degree % gcd(*rest) != 0:
-                return False
-        return True
+        return self.wellformedness()[1]
+
+    def wellformedness(self) -> tuple[bool, bool]:
+        """(:meth:`is_wellformed_space`, :meth:`is_wellformed_hypersurface`),
+        with the space check run once."""
+        space = wellformed_space(self.weights)
+        rests = combinations(self.weights, len(self.weights) - 2)
+        return space, space and all(self.degree % gcd(*rest) == 0 for rest in rests)
 
     def split(
         self,
@@ -144,12 +144,7 @@ class WeightSystem:
 
 def wellformed_space(weights: tuple[int, ...] | list[int]) -> bool:
     """True iff every n-element subset of the n+1 weights has gcd 1."""
-    idx = range(len(weights))
-    for drop in idx:
-        rest = [weights[i] for i in idx if i != drop]
-        if gcd(*rest) != 1:
-            return False
-    return True
+    return all(gcd(*rest) == 1 for rest in combinations(weights, len(weights) - 1))
 
 
 def _block_ray(block: Block) -> tuple[list[int], int]:

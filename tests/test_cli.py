@@ -4,13 +4,15 @@ import csv
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from bhlink import WeightSystem, cli, duality, enumerate_representations, find_chain_cycle, invariants
+from bhlink import WeightSystem, cli, duality, enumerate_representations, find_chain_cycle, invariants, weights
 from bhlink.cli import main
 from bhlink.errors import CrossCheckFailed, NonPositiveWeights, PreconditionFailed
 from bhlink.fixture import ROWS
@@ -432,6 +434,18 @@ def test_verify_table_fixture_without_columns_exit_2(tmp_path, capsys):
         )
         assert main(["verify-table", "--fixture", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: malformed fixture row 2")
+    # past CPython's 4,300-digit str-to-int limit the error names bhlink's own limit
+    huge = "1" + "0" * 4999
+    for row, field in (
+        (f"73,73,95,45,80,219,365,420,200,260,1460,{huge},Z_73", "dual_mu"),
+        (f"{huge},73,95,45,80,219,365,420,200,260,1460,1224,Z_73", "w0"),
+        (f"73,73,95,45,80,219,365,420,200,260,1460,1224,Z_73^{huge}", "a torsion multiplicity"),
+    ):
+        path.write_text("w0,w1,w2,w3,w4,tw0,tw1,tw2,tw3,tw4,dual_d,dual_mu,dual_torsion\n" + row + "\n")
+        assert main(["verify-table", "--fixture", str(path)]) == 2
+        err = _single_error_line(capsys)
+        assert err == f"error: malformed fixture row 2: {field} has more than 500 digits\n"
+        assert "4300" not in err
 
 
 def test_verify_table_fixture_repeated_column_exit_2(tmp_path, capsys):
@@ -643,13 +657,17 @@ def test_injected_closed_form_disagreement_reaches_every_command(tmp_path, capsy
     report = next(r for r in duality.pipeline(ws) if r.source_polynomial == chosen)
     assert report.error.startswith("CrossCheckFailed")
 
+    # the second copy's dual profile comes from the command's memo; the
+    # closed forms are compared with it all the same
     src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
-    _write_rows(src, [(ws.weights, ws.degree)])
+    _write_rows(src, [(ws.weights, ws.degree), (ws.weights[::-1], ws.degree)])
     assert main(["batch", str(src), str(dst), "--jobs", "1"]) == 0
     with dst.open(newline="") as handle:
-        record = next(csv.DictReader(handle))
-    assert record["error"].startswith("CrossCheckFailed")
-    assert record["dual_w"] == ""
+        records = list(csv.DictReader(handle))
+    assert len(records) == 2
+    for record in records:
+        assert record["error"].startswith("CrossCheckFailed")
+        assert record["dual_w"] == ""
 
     assert main(["verify-table"]) == 1
     assert "CrossCheckFailed" in capsys.readouterr().out
@@ -732,3 +750,58 @@ def test_batch_repeated_header_column_exit_2(tmp_path, capsys):
     assert main(["batch", str(src), str(dst)]) == 2
     assert "repeated column error" in _single_error_line(capsys)
     assert not dst.exists()
+
+
+def test_batch_two_worker_pool_matches_serial_on_permuted_duplicates(tmp_path, capsys, monkeypatch):
+    # a real pool: workers forked inside the command's profile memo write the
+    # bytes one process writes, duplicates and failing rows included
+    sizes = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+    rng = random.Random(3)
+    systems = [((12, 22, 6, 54, 33), 66), ((6, 22, 30, 36, 33), 66), ((19, 18, 5, 12, 16), 20)]
+    for row in ROWS[:6]:
+        systems += [(row.source, row.source_degree), (tuple(rng.sample(row.source, 5)), row.source_degree)]
+    systems.append(((16, 12, 5, 18, 19), 20))
+    src = tmp_path / "in.csv"
+    _write_rows(src, systems)
+    outputs = []
+    for jobs in ("1", "2"):
+        outputs.append(tmp_path / f"out{jobs}.csv")
+        assert main(["batch", str(src), str(outputs[-1]), "--jobs", jobs]) == 0
+    assert "16 rows (2 with errors)" in capsys.readouterr().out
+    assert sizes == [2]
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+def test_each_command_has_its_own_profile_memo(capsys, monkeypatch):
+    memos = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "cmd_analyze", lambda args: memos.append(invariants._MEMO.get()) or 0)
+        for _ in range(2):
+            assert main(["analyze", "-w", "1,1,1,1,1", "-d", "2"]) == 0
+    assert memos == [{}, {}] and memos[0] is not memos[1]
+    assert invariants._MEMO.get() is None
+    # a command that profiles, and one that fails, end their memo as well
+    assert main(["pipeline", "-w", "15,35,14,7,35", "-d", "105"]) == 0
+    assert invariants._MEMO.get() is None
+    assert main(["analyze", "-w", "19,18,5,12,16", "-d", "20"]) == 2
+    assert invariants._MEMO.get() is None
+    capsys.readouterr()
+
+
+def test_system_record_checks_the_space_once(capsys, monkeypatch):
+    checked = []
+    real = weights.wellformed_space
+    monkeypatch.setattr(weights, "wellformed_space", lambda ws: checked.append(ws) or real(ws))
+    code, out = run(capsys, "analyze", "-w", "881,881,465,99,318", "-d", "2643", "--json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["wellformed_space"] is record["wellformed_hypersurface"] is True
+    assert checked == [(881, 881, 465, 99, 318)]

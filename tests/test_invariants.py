@@ -1,6 +1,7 @@
 """Milnor numbers, Betti numbers, torsion, closed forms, branched covers."""
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +21,7 @@ from bhlink import (
     milnor_number,
     orlik_torsion,
 )
-from bhlink.errors import CrossCheckFailed, NoSplit, NonIntegralMilnor
+from bhlink.errors import CrossCheckFailed, NoSplit, NonIntegralExpansion, NonIntegralMilnor
 from bhlink.fixture import ROWS
 
 from generators import random_weight_system, theorem_population
@@ -299,3 +300,54 @@ def test_milnor_equals_root_count_on_random_systems():
         count += 1
         _, ws = got
         assert milnor_number(ws) == link_divisor(ws).root_count()
+
+
+def test_memoized_profiles_equal_fresh_ones_under_permutations(monkeypatch):
+    # inside a scope each distinct (sorted weights, degree) runs the kernel
+    # once, and every order reads the profile a fresh computation gives
+    rng = random.Random(5)
+    systems = [
+        WeightSystem(tuple(rng.sample(row.source, 5)), row.source_degree)
+        for row in ROWS[:25]
+        for _ in range(3)
+    ]
+    kernel_runs = []
+    real = invariants.orlik_torsion
+    monkeypatch.setattr(invariants, "orlik_torsion", lambda ws: kernel_runs.append(ws) or real(ws))
+    with invariants._profile_memo():
+        memoized = [homology_profile(ws) for ws in systems]
+    distinct = len({(tuple(sorted(ws.weights)), ws.degree) for ws in systems})
+    assert len(kernel_runs) == distinct < len(systems)
+    # outside a scope every call runs the kernel
+    assert memoized == [homology_profile(ws) for ws in systems]
+    assert len(kernel_runs) == distinct + len(systems)
+
+
+def test_profile_memo_lives_for_one_scope():
+    assert invariants._MEMO.get() is None
+    with invariants._profile_memo():
+        outer = invariants._MEMO.get()
+        homology_profile(WeightSystem((15, 35, 14, 7, 35), 105))
+        with invariants._profile_memo():
+            assert invariants._MEMO.get() is outer
+        assert len(outer) == 1
+    assert invariants._MEMO.get() is None
+
+
+def test_a_failing_profile_is_not_memoized():
+    # each order's error names that order, so neither may come from a memo
+    with invariants._profile_memo():
+        for weights in ((19, 18, 5, 12, 16), (16, 12, 5, 18, 19)):
+            ws = WeightSystem(weights, 20)
+            with pytest.raises(NonIntegralExpansion, match=f"link divisor of {re.escape(str(ws))}"):
+                homology_profile(ws)
+        assert invariants._MEMO.get() == {}
+
+
+def test_profile_memo_is_bounded(monkeypatch):
+    # past the bound the oldest entry makes room
+    monkeypatch.setattr(invariants, "_MEMO_SIZE", 2)
+    with invariants._profile_memo():
+        for degree in (2, 3, 4):
+            homology_profile(WeightSystem((1, 1, 1, 1, 1), degree))
+        assert list(invariants._MEMO.get()) == [((1, 1, 1, 1, 1), 3), ((1, 1, 1, 1, 1), 4)]
