@@ -35,7 +35,7 @@ certifies a negative: the verdict is then only "positive Ricci".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import gcd, prod
@@ -250,11 +250,11 @@ def checked_dual(poly: InvertiblePolynomial, ws: WeightSystem) -> DualReport:
     """
     dual_poly, dual_ws = bh_dual(poly)
     dual_profile = homology_profile(dual_ws)
-    report = DualReport(poly, dual_poly, dual_ws, dual_profile, se_certificate(dual_ws))
+    fields = (poly, dual_poly, dual_ws, dual_profile, se_certificate(dual_ws))
     try:
         prediction = chain_cycle_closed_forms(poly, ws)
     except (NoSplit, PreconditionFailed) as exc:
-        return replace(report, skipped=str(exc))
+        return DualReport(*fields, skipped=str(exc))
     if sorted(prediction.weights) != sorted(dual_ws.weights) or prediction.profile() != dual_profile:
         raise CrossCheckFailed(
             f"chain-cycle closed forms disagree with the transposed dual for {ws}: "
@@ -262,7 +262,7 @@ def checked_dual(poly: InvertiblePolynomial, ws: WeightSystem) -> DualReport:
             f"torsion={prediction.torsion}; computed ({dual_ws.weights}; {dual_ws.degree}), "
             f"mu={dual_profile.mu}, torsion={dual_profile.torsion}, b3={dual_profile.b3}"
         )
-    return report
+    return DualReport(*fields)
 
 
 def pipeline(ws: WeightSystem) -> list[DualReport]:

@@ -8,15 +8,16 @@ forced by the weights,
     cycle entry:           a_i = (d - w_next) / w_i,
 
 so a chain steps i -> j, and a cycle j -> i, only where (d - w_i) / w_j is a
-positive integer.  One option table (cached for the last system) keys the
-*valid* blocks of every cell by its variable bitmask: Fermat blocks (d / w
->= 2), then chains from each Fermat head and cycles pinned at their smallest
-variable, found by a walk along the steps.  Every exponent is >= 1, so only
-an even cycle can be singular, and none that is degenerate (exponents all 1
-on its even or odd positions) is kept.  So every set partition of table
-blocks is a representation: the count is a subset sum over the table, and
-the walk over partitions yields them lazily in canonical order, validating
-each one as an independent check of the rules it applied.
+positive integer.  One option table (cached for the last system) holds the
+*valid* blocks as raw fields: Fermat blocks (d / w >= 2), then chains from
+each Fermat head and cycles pinned at their smallest variable, found by one
+walk along the steps, grouped by canonical key and counted per cell.  Every
+exponent is >= 1, so only an even cycle can be singular, and none that is
+degenerate (exponents all 1 on its even or odd positions) is kept.  So every
+set partition of table blocks is a representation: the count is a subset sum
+over the cell counts and builds no block, and the walk over partitions,
+which builds each block once per system, yields them lazily in canonical
+order, validating each one as an independent check of the rules it applied.
 """
 
 from __future__ import annotations
@@ -32,69 +33,97 @@ from .weights import WeightSystem
 __all__ = ["enumerate_representations", "find_chain_cycle", "has_invertible_representation"]
 
 
+# the kind of each block group: its key is rank * n + first variable
+_KINDS = (BlockKind.FERMAT, BlockKind.CHAIN, BlockKind.CYCLE)
+
+
 @lru_cache(maxsize=1)
-def _option_table(ws: WeightSystem) -> dict[int, list[Block]]:
-    """The valid blocks of every cell with any, keyed by its variable bitmask."""
+def _option_table(ws: WeightSystem) -> tuple[dict[int, list[tuple]], int]:
+    """The valid blocks of the data as raw fields, and the number of
+    representations they make.  One walk lists the (variables, exponents,
+    mask) of each block under its key rank * n + first variable and counts
+    the blocks of each cell by its variable bitmask; the count is a subset
+    sum over those cell counts, so it builds no block."""
     n, d, w = ws.n_vars, ws.degree, ws.weights
-    table: dict[int, list[Block]] = {}
-    steps = [[j for j in range(n) if d - w[i] >= w[j] and (d - w[i]) % w[j] == 0] for i in range(n)]
-    heads = [d % w[v] == 0 and d >= 2 * w[v] for v in range(n)]
+    groups: dict[int, list[tuple]] = {}
+    cells: dict[int, int] = {}
+    rests = [d - x for x in w]
+    # steps[i]: each j with its exponent (d - w_i) / w_j, a positive integer
+    steps = [[(j, r // x) for j, x in enumerate(w) if r >= x and r % x == 0] for r in rests]
+    heads = [d % x == 0 and d >= 2 * x for x in w]
 
-    def walk(path: tuple[int, ...], mask: int, tail: tuple[int, ...]) -> None:
-        # tail: the exponents (d - w_prev) / w_cur along the path
-        head, last = path[0], path[-1]
-        if tail and heads[head]:
-            table.setdefault(mask, []).append(Block(BlockKind.CHAIN, path, (d // w[head], *tail)))
-        # read backwards from the head, a path that closes is a cycle
-        if tail and head in steps[last] and head == min(path):
-            exps = ((d - w[last]) // w[head], *tail[::-1])
-            if len(exps) % 2 or min(max(exps[0::2]), max(exps[1::2])) > 1:
-                table.setdefault(mask, []).append(Block(BlockKind.CYCLE, path[:1] + path[:0:-1], exps))
-        for nxt in steps[last]:
-            if not mask >> nxt & 1 and (heads[head] or nxt > head):
-                walk(path + (nxt,), mask | 1 << nxt, tail + ((d - w[last]) // w[nxt],))
+    def add(key: int, variables: tuple[int, ...], exponents: tuple[int, ...], mask: int) -> None:
+        groups.setdefault(key, []).append((variables, exponents, mask))
+        cells[mask] = cells.get(mask, 0) + 1
 
-    for v in range(n):
+    # a path, its bitmask, and the head's d / w followed by the exponents
+    # (d - w_prev) / w_cur along the path: a path of a Fermat head, as it
+    # stands, is a chain
+    paths = []
+    for v, x in enumerate(w):
         if heads[v]:
-            table[1 << v] = [Block(BlockKind.FERMAT, (v,), (d // w[v],))]
-        walk((v,), 1 << v, ())
-    return table
+            add(v, (v,), (d // x,), 1 << v)
+        paths.append(((v,), 1 << v, (d // x,)))
+    while paths:
+        path, mask, exps = paths.pop()
+        head, last = path[0], path[-1]
+        if len(path) > 1:
+            if heads[head]:
+                add(n + head, path, exps, mask)
+            # read backwards from the head, a path that closes is a cycle; one
+            # that passed a variable below the head is pinned at that one instead
+            r, x = rests[last], w[head]
+            if r >= x and r % x == 0 and mask & -mask == 1 << head:
+                cycle = (r // x, *exps[:0:-1])
+                if len(cycle) % 2 or min(max(cycle[0::2]), max(cycle[1::2])) > 1:
+                    add(2 * n + head, path[:1] + path[:0:-1], cycle, mask)
+        for nxt, exp in steps[last]:
+            if not mask >> nxt & 1 and (heads[head] or nxt > head):
+                paths.append((path + (nxt,), mask | 1 << nxt, exps + (exp,)))
+
+    # ways[m]: the partitions of the variables of m into table cells, each
+    # extended by the cells holding the lowest variable it leaves out
+    by_low: dict[int, list[tuple[int, int]]] = {}
+    for cell, size in cells.items():
+        by_low.setdefault(cell & -cell, []).append((cell, size))
+    full = (1 << n) - 1
+    ways = [1] + [0] * full
+    for m in range(full):
+        if ways[m]:
+            for cell, size in by_low.get(~m & (m + 1), ()):
+                if not cell & m:
+                    ways[m | cell] += ways[m] * size
+    return groups, ways[full]
 
 
 def count_representations(ws: WeightSystem) -> int:
-    """The number of invertible polynomials of the data; builds none."""
-    cells: list[list[tuple[int, int]]] = [[] for _ in range(ws.n_vars)]
-    for cell, options in _option_table(ws).items():
-        cells[(cell & -cell).bit_length() - 1].append((cell, len(options)))
-    memo = {0: 1}
+    """The number of invertible polynomials of the data, summed once per
+    system; builds none."""
+    return _option_table(ws)[1]
 
-    def count(m: int) -> int:
-        if m not in memo:
-            low = cells[(m & -m).bit_length() - 1]
-            memo[m] = sum(size * count(m ^ cell) for cell, size in low if cell & m == cell)
-        return memo[m]
 
-    return count((1 << ws.n_vars) - 1)
+@lru_cache(maxsize=1)
+def _walk_order(ws: WeightSystem) -> list[tuple]:
+    """The table's groups in the order the walk tries them, each as its key,
+    its first variable's bit, the variables the groups of larger keys cover,
+    and its (mask, Block) entries in canonical order: one Block per table
+    entry, built on first enumeration."""
+    n = ws.n_vars
+    groups = _option_table(ws)[0]
+    entries, above = [], 0
+    for k in sorted(groups, reverse=True):
+        kind, group = _KINDS[k // n], sorted(groups[k])
+        entries.append((k, 1 << k % n, above, [(mask, Block(kind, vs, es)) for vs, es, mask in group]))
+        for *_, mask in group:
+            above |= mask
+    # _canonical_key compares kinds by value: chains, cycles, then Fermat (keys below n)
+    entries.sort(key=lambda entry: (entry[0] < n, entry[0]))
+    return entries
 
 
 def iter_representations(ws: WeightSystem) -> Iterator[InvertiblePolynomial]:
     """Every representation, lazily, in ``_canonical_key`` order."""
-    n = ws.n_vars
-    # a polynomial lists its blocks by increasing key k = rank * n + first variable
-    groups: dict[int, list[tuple]] = {}
-    for mask, options in _option_table(ws).items():
-        for block in options:
-            rank, first = block._sort_key()
-            groups.setdefault(rank * n + first, []).append((block.variables, block.exponents, mask, block))
-    # per key: its first variable's bit, the variables the blocks of larger
-    # keys cover, and its blocks in canonical order
-    entries, above = [], 0
-    for k in sorted(groups, reverse=True):
-        entries.append((k, 1 << k % n, above, [item[2:] for item in sorted(groups[k])]))
-        for item in groups[k]:
-            above |= item[2]
-    # _canonical_key compares kinds by value: chains, cycles, then Fermat (keys below n)
-    entries.sort(key=lambda entry: (entry[0] < n, entry[0]))
+    n, entries = ws.n_vars, _walk_order(ws)
 
     def walk(rest: int, last: int, chosen: tuple[Block, ...]) -> Iterator[InvertiblePolynomial]:
         if not rest:
@@ -137,9 +166,12 @@ def find_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
     no such polynomial matches."""
     if ws.n_vars != 5:
         raise NoRepresentation("chain-cycle search expects a five-variable system")
-    table = _option_table(ws)
-    chains = [b for b in table.get(0b00011, ()) if b.kind is BlockKind.CHAIN]
-    cycles = [b for b in table.get(0b11100, ()) if b.kind is BlockKind.CYCLE]
+    groups = _option_table(ws)[0]
+    # chains headed at 0 or 1 (keys 5, 6) and cycles pinned at 2 (key 12)
+    chains = [
+        Block(BlockKind.CHAIN, vs, es) for k in (5, 6) for vs, es, mask in groups.get(k, ()) if mask == 0b00011
+    ]
+    cycles = [Block(BlockKind.CYCLE, vs, es) for vs, es, mask in groups.get(12, ()) if mask == 0b11100]
     polys = (InvertiblePolynomial(5, pair) for pair in product(chains, cycles))
     chosen = min(polys, key=lambda p: (tuple(map(p.exponent_of, range(5))), _canonical_key(p)), default=None)
     if chosen is None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bhlink import (
     WeightSystem,
+    cli,
     enumerate_representations,
     find_chain_cycle,
     has_invertible_representation,
@@ -15,6 +16,7 @@ from bhlink import (
 from bhlink.errors import CrossCheckFailed, NoRepresentation
 from bhlink.polynomial import Block, InvertiblePolynomial
 from bhlink.representation import (
+    _KINDS,
     _canonical_key,
     _option_table,
     count_representations,
@@ -37,6 +39,21 @@ NAMED = (
 )
 
 
+def table_blocks(ws):
+    """The raw-field option table as Blocks by cell bitmask, checking that
+    each entry sits under its own key and its mask covers its variables."""
+    groups, _ = _option_table(ws)
+    n, blocks = ws.n_vars, {}
+    for key, group in groups.items():
+        for variables, exponents, mask in group:
+            block = Block(_KINDS[key // n], variables, exponents)
+            rank, first = block._sort_key()
+            assert key == rank * n + first
+            assert mask == sum(1 << v for v in variables)
+            blocks.setdefault(mask, []).append(block)
+    return blocks
+
+
 def chain_cycle_outcome(fn, arg):
     try:
         return fn(arg)
@@ -54,7 +71,7 @@ def assert_matches_oracle(ws):
     # the walk never yields a polynomial twice, so enumeration needs no set
     assert len(reps) == len(set(reps))
     # every block once: a cycle is not listed again under another rotation
-    assert all(len(set(options)) == len(options) for options in _option_table(ws).values())
+    assert all(len(set(options)) == len(options) for options in table_blocks(ws).values())
     assert has_invertible_representation(ws) == bool(expected)
     choice = chain_cycle_outcome(oracle_chain_cycle, ws)
     assert chain_cycle_outcome(find_chain_cycle, ws) == choice
@@ -135,12 +152,58 @@ def system_id(weights, degree):
     ],
 )
 def test_table_holds_exactly_the_valid_blocks(ws):
-    table = _option_table(ws)
+    table = table_blocks(ws)
     for mask in range(1, 1 << ws.n_vars):
         cell = [v for v in range(ws.n_vars) if mask >> v & 1]
         valid = [b for b in _block_options(cell, ws) if not block_violations(b)]
         assert sorted(table.get(mask, []), key=repr) == sorted(valid, key=repr)
     assert all(not block_violations(b) for options in table.values() for b in options)
+
+
+def constructions(monkeypatch, cls):
+    """The instances of a frozen dataclass built while the patch is on."""
+    built = []
+    post_init = cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self) or post_init(self))
+    return built
+
+
+@pytest.mark.parametrize(
+    "weights, degree",
+    [pytest.param(w, d, id=system_id(w, d)) for w, d in NAMED + SINGULAR_2_CYCLES + [((1,) * 7, 3)]],
+)
+def test_counting_builds_no_block(monkeypatch, weights, degree):
+    ws = WeightSystem(weights, degree)
+    expected = count_representations(ws)
+    # a fresh table: the walk that fills it builds nothing either
+    _option_table.cache_clear()
+    blocks = constructions(monkeypatch, Block)
+    polys = constructions(monkeypatch, InvertiblePolynomial)
+    assert count_representations(ws) == expected
+    assert has_invertible_representation(ws) == bool(expected)
+    assert blocks == polys == []
+
+
+@pytest.mark.parametrize(
+    "weights, degree", [pytest.param(w, d, id=system_id(w, d)) for w, d in NAMED if len(w) == 5]
+)
+def test_chain_cycle_search_builds_blocks_on_its_two_cells_only(monkeypatch, weights, degree):
+    ws = WeightSystem(weights, degree)
+    _option_table.cache_clear()
+    blocks = constructions(monkeypatch, Block)
+    found = chain_cycle_outcome(find_chain_cycle, ws)
+    assert {frozenset(block.variables) for block in blocks} <= {frozenset({0, 1}), frozenset({2, 3, 4})}
+    # every candidate chain and cycle, and no block of any other cell
+    if found is not NoRepresentation:
+        assert set(found.blocks) <= set(blocks)
+
+
+def test_pipeline_command_builds_one_table():
+    # pipeline() counts for its budget and the source record counts again:
+    # both read the count of the one table built for the system
+    _option_table.cache_clear()
+    assert cli.main(["pipeline", "-w", "1,1,1,1,1", "-d", "3"]) == 0
+    assert _option_table.cache_info().misses == 1
 
 
 def test_walk_validates_what_it_yields(monkeypatch):
