@@ -1,14 +1,10 @@
 """Command-line surface: single-instance analysis, batch CSV processing and
 golden-table verification.
 
-Exit codes: 0 success, 1 table verification mismatch, 2 invalid input,
-3 internal cross-check failure.  The commands raise; :func:`main` alone maps
-every failure to its one stderr line and exit code.  An internal failure is
-reported today by where it happens: in the source profile of ``analyze`` or
-``pipeline``, exit 3; in the dual of one ``pipeline`` representation, that
-representation's ``error`` field, exit 0; in a ``batch`` row, that row's
-``error`` column, exit 0; in ``verify-table``, a FAIL line, exit 1.  Exit 3
-on every command is the planned contract change (ROADMAP item 4).
+Exit codes: 0 success, 1 table mismatch, 2 invalid input or unwritable
+output, 3 internal cross-check failure.  The commands raise; :func:`main` alone
+maps each failure to one stderr line and its code.  A command writes all of
+its output, then exits 3, not 1, if any item records a cross-check failure.
 """
 
 from __future__ import annotations
@@ -115,6 +111,13 @@ def _system_record(ws: WeightSystem) -> tuple[dict, HomologyProfile, int]:
     return record, profile, count
 
 
+def _raise_internal(errors) -> None:
+    # an item's error text is all that comes back from a forked batch worker
+    failed = [e for e in errors if e and e.startswith("CrossCheckFailed: ")]
+    if failed:
+        raise CrossCheckFailed(f"{len(failed)} output item(s) record a failed cross-check; the first is {failed[0]}")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     record, _, _ = _system_record(_build_system(args))
     if args.json:
@@ -165,21 +168,21 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             payload.append(entry)
         head = {key: record[key] for key in ("weights", "degree", "betti", "torsion", "milnor")}
         print(json.dumps({**head, "representations": payload}, indent=2))
-        return 0
-    if not reports:
+    elif not reports:
         print(f"no invertible representation matches {ws}")
-        return 0
-    print(f"source {ws}: b3={record['betti']}  H3={record['torsion_str']}  mu={record['milnor']}")
-    for rep in reports:
-        print(f"\n[{classify(rep.source_polynomial)}]  {rep.source_polynomial}")
-        if rep.error:
-            print(f"  error: {rep.error}")
-            continue
-        d = rep.dual_profile
-        print(f"  dual  {rep.dual_polynomial}")
-        print(f"  dual weights {rep.dual_weights}")
-        print(f"  dual profile b3={d.b3}  H3={d.torsion_str()}  mu={d.mu}")
-        print(f"  twin={is_twin(source, d)}  source SE={source_verdict}  dual SE={rep.dual_verdict.verdict.value}")
+    else:
+        print(f"source {ws}: b3={record['betti']}  H3={record['torsion_str']}  mu={record['milnor']}")
+        for rep in reports:
+            print(f"\n[{classify(rep.source_polynomial)}]  {rep.source_polynomial}")
+            if rep.error:
+                print(f"  error: {rep.error}")
+                continue
+            d = rep.dual_profile
+            print(f"  dual  {rep.dual_polynomial}")
+            print(f"  dual weights {rep.dual_weights}")
+            print(f"  dual profile b3={d.b3}  H3={d.torsion_str()}  mu={d.mu}")
+            print(f"  twin={is_twin(source, d)}  source SE={source_verdict}  dual SE={rep.dual_verdict.verdict.value}")
+    _raise_internal(rep.error for rep in reports)
     return 0
 
 
@@ -246,16 +249,18 @@ def _available_cpus() -> int:
 def _read_csv(path: Path) -> tuple[list[str], list[dict[str, str]]]:
     """The header and records of a CSV file; a missing field reads as "" and
     fields past the header are listed under the key None.  Raises
-    :class:`_InputError` for a path that is not a file, bytes that are not
-    UTF-8, a record the csv module rejects or a header that repeats a column
-    (a dict record would keep only its last value)."""
-    if not path.is_file():
-        raise _InputError(f"no such file {path}")
+    :class:`_InputError` for a path that is not a file or cannot be read,
+    bytes that are not UTF-8, a record the csv module rejects or a header that
+    repeats a column (a dict record would keep only its last value)."""
     try:
+        if not path.is_file():
+            raise _InputError(f"no such file {path}")
         # utf-8-sig drops the byte-order mark a spreadsheet export may start with
         with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle, restval="")
             header, records = list(reader.fieldnames or []), list(reader)
+    except OSError as exc:
+        raise _InputError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     except csv.Error as exc:
@@ -291,8 +296,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
         writer.writeheader()
         for row in results:
             writer.writerow(row)
-    errors = sum(1 for row in results if row.get("error"))
-    print(f"processed {len(results)} rows ({errors} with errors) -> {args.output}")
+    errors = [row["error"] for row in results if row["error"]]
+    print(f"processed {len(results)} rows ({len(errors)} with errors) -> {args.output}")
+    _raise_internal(errors)
     return 0
 
 
@@ -377,13 +383,15 @@ def verify_row(row: FixtureRow) -> tuple[bool, str]:
 
 def cmd_verify_table(args: argparse.Namespace) -> int:
     rows = _load_fixture_csv(Path(args.fixture)) if args.fixture else list(ROWS)
-    passed = 0
+    failures = []
     for row in rows:
         ok, detail = verify_row(row)
-        passed += ok
+        if not ok:
+            failures.append(detail)
         print(f"{'PASS' if ok else 'FAIL'}  {row.source}  {detail}")
-    print(f"\n{passed}/{len(rows)} rows verified")
-    return 0 if passed == len(rows) else 1
+    print(f"\n{len(rows) - len(failures)}/{len(rows)} rows verified")
+    _raise_internal(failures)
+    return 1 if failures else 0
 
 
 def _positive_int(text: str) -> int:
@@ -440,16 +448,21 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # the command is looked up by name at call time, so a replaced cmd_* runs;
-        # it profiles each distinct system once, and forked batch workers inherit that
-        with _profile_memo():
-            code = globals()[args.func](args)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # stdout was closed early (say, piped into head); point it at devnull
-        # so the flush at exit cannot fail a second time
+        try:
+            # the command is looked up by name at call time, so a replaced cmd_* runs;
+            # it profiles each distinct system once, and forked batch workers inherit that
+            with _profile_memo():
+                code = globals()[args.func](args)
+        finally:
+            sys.stdout.flush()  # the output comes first; a failed flush is a write failure
+    except OSError as exc:
+        # stdout was closed early (say, piped into head) or an output is full;
+        # point stdout at devnull so the flush at exit cannot fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before all output was written", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            print("error: stdout was closed before all output was written", file=sys.stderr)
+        else:
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except CrossCheckFailed as exc:
         # bhlink computed something wrong; the input is not at fault

@@ -269,8 +269,10 @@ def pipeline(ws: WeightSystem) -> list[DualReport]:
     """The :func:`checked_dual` report of every invertible representation.
 
     A representation whose dual fails gets ``DualReport(poly, error=...)``
-    rather than aborting the rest.  Data with more than ``PIPELINE_BUDGET``
-    representations raises :class:`PreconditionFailed` before any is built.
+    rather than aborting the rest; ``bhlink pipeline`` writes every report,
+    then exits 3 when one records a ``CrossCheckFailed``.  Data with more
+    than ``PIPELINE_BUDGET`` representations raises
+    :class:`PreconditionFailed` before any is built.
     Each distinct dual system is profiled once per call (or once per
     command, under ``bhlink``).  The source is not profiled here: a report's
     dual is a twin when ``is_twin(homology_profile(ws), report.dual_profile)``.

@@ -1,8 +1,9 @@
 """Exception types raised by the exact link-topology computations.
 
-Every error below signals bad *input data* or a violated cross-check, never
-a recoverable state: callers that batch over many weight systems should
-catch :class:`BhlinkError` per item and keep going.
+Every error below signals bad *input data*, except :class:`CrossCheckFailed`,
+which signals a computation of this package that disagrees with its
+cross-check.  None is a recoverable state: callers that batch over many
+weight systems should catch :class:`BhlinkError` per item and keep going.
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ class NonIntegralMilnor(BhlinkError):
 
 
 class CrossCheckFailed(BhlinkError):
-    """Two independent computations of the same invariant disagree."""
+    """Two independent computations of the same invariant disagree.
+
+    This is the program's fault, not the input's: ``bhlink`` exits 3 on it.
+    """
 
 
 class PreconditionFailed(BhlinkError):

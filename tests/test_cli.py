@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import errno
+import io
 import json
 import os
 import random
@@ -583,15 +585,22 @@ def test_batch_huge_degree_is_that_rows_error(tmp_path, capsys):
     assert last["error"] == "" and last["torsion"] == "Z_7^26"
 
 
-def test_closed_stdout_exit_2():
-    # the reader goes away before the first write, as with `| head -1`
+def _subprocess_env():
+    """The environment for a child interpreter that imports this bhlink, with
+    stdout block-buffered on a pipe as a shell gives it."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_closed_stdout_exit_2():
+    # the reader goes away before the first write, as with `| head -1`
     proc = subprocess.Popen(
         [sys.executable, "-m", "bhlink.cli", "verify-table"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_subprocess_env(),
     )
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -645,37 +654,88 @@ def test_batch_pool_capped_by_rows_and_cpus(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_injected_closed_form_disagreement_reaches_every_command(tmp_path, capsys, monkeypatch):
+def _one_cross_check_line(capsys, count):
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        f"cross-check failure: {count} output item(s) record a failed cross-check; "
+        "the first is CrossCheckFailed: "
+    )
+    return captured.out
+
+
+def _inject_closed_form_disagreement(monkeypatch):
     real = duality.chain_cycle_closed_forms
+    monkeypatch.setattr(
+        duality, "chain_cycle_closed_forms", lambda poly, ws: dataclasses.replace(real(poly, ws), torsion=(2,))
+    )
+    return real
 
-    def wrong_torsion(poly, ws):
-        return dataclasses.replace(real(poly, ws), torsion=(2,))
 
-    monkeypatch.setattr(duality, "chain_cycle_closed_forms", wrong_torsion)
+def test_injected_closed_form_disagreement_reaches_every_command(tmp_path, capsys, monkeypatch):
+    # one contract: the command writes all of its output, then main exits 3
+    # with one stderr line; exit 3 wins over verify-table's 1
+    real = _inject_closed_form_disagreement(monkeypatch)
     ws = WeightSystem((929, 1858, 2849, 63, 805), 6503)
+    argv = ["-w", "929,1858,2849,63,805", "-d", "6503"]
+    reports = duality.pipeline(ws)
     chosen = find_chain_cycle(ws)
-    report = next(r for r in duality.pipeline(ws) if r.source_polynomial == chosen)
-    assert report.error.startswith("CrossCheckFailed")
+    assert [r.source_polynomial == chosen for r in reports if r.error] == [True]
 
-    # the second copy's dual profile comes from the command's memo; the
-    # closed forms are compared with it all the same
-    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
-    _write_rows(src, [(ws.weights, ws.degree), (ws.weights[::-1], ws.degree)])
-    assert main(["batch", str(src), str(dst), "--jobs", "1"]) == 0
-    with dst.open(newline="") as handle:
+    assert main(["pipeline", *argv]) == 3
+    out = _one_cross_check_line(capsys, 1)
+    assert out.count("\n[") == len(reports)
+    assert out.count("  error: CrossCheckFailed: ") == 1
+    assert main(["pipeline", *argv, "--json"]) == 3
+    payload = json.loads(_one_cross_check_line(capsys, 1))["representations"]
+    assert [entry["polynomial"] for entry in payload] == [str(r.source_polynomial) for r in reports]
+    assert sum(entry["error"] is not None for entry in payload) == 1
+
+    # a row with invalid data stays that row's error; the second copy's dual
+    # profile comes from the command's memo, and the closed forms are
+    # compared with it all the same; a real two-worker pool sees the
+    # failure only as the error text its rows carry back
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+    src = tmp_path / "in.csv"
+    _write_rows(src, [(ws.weights, ws.degree), ((1, 1, 1), 2), (ws.weights[::-1], ws.degree), ((1, 1, 1, 1, 1), 5)])
+    outputs = []
+    for jobs in ("1", "2"):
+        outputs.append(tmp_path / f"out{jobs}.csv")
+        assert main(["batch", str(src), str(outputs[-1]), "--jobs", jobs]) == 3
+        assert "processed 4 rows (3 with errors)" in _one_cross_check_line(capsys, 2)
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    with outputs[0].open(newline="") as handle:
         records = list(csv.DictReader(handle))
-    assert len(records) == 2
-    for record in records:
-        assert record["error"].startswith("CrossCheckFailed")
-        assert record["dual_w"] == ""
+    assert [record["error"].split(":")[0] for record in records] == [
+        "CrossCheckFailed", "ValueError", "CrossCheckFailed", ""
+    ]
+    assert all(record["dual_w"] == "" and record["b3"] == "0" for record in records[::2])
 
-    assert main(["verify-table"]) == 1
-    assert "CrossCheckFailed" in capsys.readouterr().out
+    assert main(["verify-table"]) == 3
+    out = _one_cross_check_line(capsys, 75)
+    assert out.count("FAIL  ") == 75 and out.endswith("\n0/75 rows verified\n")
+    fixture = tmp_path / "fixture.csv"
+    fixture.write_text(
+        "w0,w1,w2,w3,w4,tw0,tw1,tw2,tw3,tw4,dual_d,dual_mu,dual_torsion\n"
+        "73,73,95,45,80,219,365,420,200,260,1460,1224,Z_73\n"
+        "73,73,95,45,80,219,365,420,200,260,1460,1225,Z_73\n"
+    )
+    assert main(["verify-table", "--fixture", str(fixture)]) == 3
+    assert _one_cross_check_line(capsys, 2).endswith("\n0/2 rows verified\n")
+
+    # analyze reads no dual; without a failure the other codes hold
+    assert main(["analyze", *argv]) == 0
+    monkeypatch.setattr(duality, "chain_cycle_closed_forms", real)
+    assert main(["verify-table", "--fixture", str(fixture)]) == 1
+    assert main(["batch", str(src), str(outputs[0]), "--jobs", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("\n1/2 rows verified\nprocessed 4 rows (1 with errors) -> " + str(outputs[0]) + "\n")
+    assert captured.err == ""
 
 
 def test_batch_reports_an_internal_failure_in_a_dual(tmp_path, capsys, monkeypatch):
-    # a failed cross-check in a dual is internal, as in main: the row's
-    # error, not a reason to try the next representation
+    # a failed cross-check in a dual is the row's error, not a reason to try
+    # the next representation; the command still exits 3 once it is written
     ws = WeightSystem((929, 1858, 2849, 63, 805), 6503)
     real = invariants.orlik_torsion
 
@@ -687,13 +747,104 @@ def test_batch_reports_an_internal_failure_in_a_dual(tmp_path, capsys, monkeypat
     monkeypatch.setattr(invariants, "orlik_torsion", failing_on_duals)
     src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
     _write_rows(src, [(ws.weights, ws.degree)])
-    assert main(["batch", str(src), str(dst), "--jobs", "1"]) == 0
-    assert "(1 with errors)" in capsys.readouterr().out
+    assert main(["batch", str(src), str(dst), "--jobs", "1"]) == 3
+    assert "(1 with errors)" in _one_cross_check_line(capsys, 1)
     with dst.open(newline="") as handle:
         record = next(csv.DictReader(handle))
     assert record["error"].startswith("CrossCheckFailed: injected")
     assert record["torsion"] == "Z_929^3"
     assert record["dual_w"] == record["twin"] == ""
+
+
+class _FullStdout(io.TextIOBase):
+    """A stdout on a full device: every write fails with ENOSPC.  Its file
+    descriptor is a scratch file's, so main may point it at devnull."""
+
+    def __init__(self, path):
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("command", ["verify-table", "analyze --json", "batch"])
+def test_write_failure_exit_2_with_one_line(tmp_path, capsys, monkeypatch, command):
+    src = tmp_path / "in.csv"
+    _write_rows(src, [(ROWS[0].source, ROWS[0].source_degree)])
+    argv = {
+        "verify-table": ["verify-table"],
+        "analyze --json": ["analyze", "-w", "15,35,14,7,35", "-d", "105", "--json"],
+        "batch": ["batch", str(src), str(tmp_path / "out.csv")],
+    }[command]
+    # a write failure wins over a recorded cross-check failure
+    _inject_closed_form_disagreement(monkeypatch)
+    full, plain = _FullStdout(tmp_path / "full"), (tmp_path / "stdout").open("w")
+    if command == "batch":
+        # the output CSV is the file that fills up; stdout is a plain file
+        monkeypatch.setattr(sys, "stdout", plain)
+        real_open = Path.open
+
+        def open_full(self, mode="r", **kwargs):
+            return full if "w" in mode else real_open(self, mode, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_full)
+    else:
+        monkeypatch.setattr(sys, "stdout", full)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write output: No space left on device\n"
+    plain.close()
+    os.close(full.fd)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_full_device_exit_2():
+    # the output is buffered, so the write fails in main's flush; the flush
+    # at exit must not print a second error
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bhlink.cli", "analyze", "-w", "15,35,14,7,35", "-d", "105"],
+            stdout=full, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: cannot write output: No space left on device\n"
+
+
+def test_cross_check_line_follows_the_output_in_a_merged_stream():
+    # main flushes stdout before it writes the cross-check line
+    inject = (
+        "import dataclasses, sys; from bhlink import cli, duality; real = duality.chain_cycle_closed_forms; "
+        "duality.chain_cycle_closed_forms = lambda poly, ws: dataclasses.replace(real(poly, ws), torsion=(2,)); "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", inject, "pipeline", "-w", "929,1858,2849,63,805", "-d", "6503"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=_subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == 3
+    lines = proc.stdout.decode().splitlines()
+    assert lines[0].startswith("source (929, 1858, 2849, 63, 805; d=6503)")
+    assert sum(line.startswith("cross-check failure: ") for line in lines) == 1
+    assert lines[-1].startswith("cross-check failure: 1 output item(s)")
+
+
+@pytest.mark.parametrize("command", ["batch", "verify-table --fixture"])
+def test_unreadable_input_exit_2(tmp_path, capsys, monkeypatch, command):
+    src = tmp_path / "in.csv"
+    _write_rows(src, [(ROWS[0].source, ROWS[0].source_degree)])
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "open", refuse)
+    if command == "batch":
+        argv = ["batch", str(src), str(tmp_path / "out.csv")]
+    else:
+        argv = ["verify-table", "--fixture", str(src)]
+    assert main(argv) == 2
+    assert _single_error_line(capsys) == f"error: cannot read {src}: Permission denied\n"
 
 
 def test_verify_table_fails_rows_outside_the_closed_forms(capsys, monkeypatch):
