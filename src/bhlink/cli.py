@@ -212,12 +212,13 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
         )
         # report the chain-cycle dual when one exists (the shape whose dual
         # is genuinely new); otherwise the first representation in canonical
-        # order with a nondegenerate dual, built only as far as that one
+        # order with a nondegenerate dual, built only as far as that one; the
+        # walk passes over those whose transpose is invalid, as this loop would
         try:
             first = [find_chain_cycle(ws)]
         except NoRepresentation:
             first = []
-        for chosen in chain(first, iter_representations(ws)):
+        for chosen in chain(first, iter_representations(ws, transposable=True)):
             try:
                 dual = checked_dual(chosen, ws)
             except CrossCheckFailed:

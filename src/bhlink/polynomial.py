@@ -69,6 +69,10 @@ class Block:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.kind, BlockKind):
+            # a plain "chain" would fail every `is BlockKind.CHAIN` test;
+            # an unknown kind raises ValueError
+            object.__setattr__(self, "kind", BlockKind(self.kind))
         if len(self.variables) != len(self.exponents):
             raise ValueError("variables and exponents must have equal length")
         if self.kind is BlockKind.CYCLE and self.variables:

@@ -15,9 +15,12 @@ walk along the steps, grouped by canonical key and counted per cell.  Every
 exponent is >= 1, so only an even cycle can be singular, and none that is
 degenerate (exponents all 1 on its even or odd positions) is kept.  So every
 set partition of table blocks is a representation: the count is a subset sum
-over the cell counts and builds no block, and the walk over partitions,
-which builds each block once per system, yields them lazily in canonical
-order, validating each one as an independent check of the rules it applied.
+over the cell counts and builds no block, and the walk over partitions
+yields them lazily in canonical order (by the (kind value, variables,
+exponents) of each block, in the polynomial's block order), validating each
+one as an independent check of the rules it applied.  The walk builds each block when it first
+reaches it, and on request skips every chain ending in exponent 1: its
+transpose has no positive weights.
 """
 
 from __future__ import annotations
@@ -103,27 +106,40 @@ def count_representations(ws: WeightSystem) -> int:
 
 
 @lru_cache(maxsize=1)
-def _walk_order(ws: WeightSystem) -> list[tuple]:
-    """The table's groups in the order the walk tries them, each as its key,
-    its first variable's bit, the variables the groups of larger keys cover,
-    and its (mask, Block) entries in canonical order: one Block per table
-    entry, built on first enumeration."""
+def _walk_order(ws: WeightSystem) -> tuple[list[tuple], int]:
+    """The table's groups in the order the walk tries them, and the number of
+    table entries.  Each group is its key, its first variable's bit, the
+    variables the groups of larger keys cover, its kind, and its entries in
+    canonical order as raw (mask, slot, variables, exponents) fields, twice:
+    all of them, then only those with a transposable dual.  ``slot`` numbers
+    the entries, so a walk can build each Block once."""
     n = ws.n_vars
     groups = _option_table(ws)[0]
-    entries, above = [], 0
+    entries, above, slots = [], 0, 0
     for k in sorted(groups, reverse=True):
-        kind, group = _KINDS[k // n], sorted(groups[k])
-        entries.append((k, 1 << k % n, above, [(mask, Block(kind, vs, es)) for vs, es, mask in group]))
-        for *_, mask in group:
+        kind = _KINDS[k // n]
+        group = [(mask, slot, vs, es) for slot, (vs, es, mask) in enumerate(sorted(groups[k]), slots)]
+        slots += len(group)
+        # a chain ending in x^1 transposes to one headed by x^1, so the dual's
+        # weight ray is w_head = d, then (d - w_head) / a = 0: checked_dual
+        # raises NonPositiveWeights on every polynomial holding such a chain,
+        # and a batch row passes over those, so skipping them changes nothing
+        dualizable = [entry for entry in group if entry[3][-1] > 1] if kind is BlockKind.CHAIN else group
+        entries.append((k, 1 << k % n, above, kind, (group, dualizable)))
+        for mask, *_ in group:
             above |= mask
-    # _canonical_key compares kinds by value: chains, cycles, then Fermat (keys below n)
+    # the canonical order compares kinds by value: chains, cycles, then Fermat (keys below n)
     entries.sort(key=lambda entry: (entry[0] < n, entry[0]))
-    return entries
+    return entries, slots
 
 
-def iter_representations(ws: WeightSystem) -> Iterator[InvertiblePolynomial]:
-    """Every representation, lazily, in ``_canonical_key`` order."""
-    n, entries = ws.n_vars, _walk_order(ws)
+def iter_representations(ws: WeightSystem, *, transposable: bool = False) -> Iterator[InvertiblePolynomial]:
+    """Every representation, lazily, in canonical order; with
+    ``transposable``, only those whose transpose is valid (no chain ends in
+    exponent 1), which are all that can have a dual.  Each Block is built
+    when the walk first reaches it."""
+    n, (entries, slots) = ws.n_vars, _walk_order(ws)
+    built: list[Block | None] = [None] * slots
 
     def walk(rest: int, last: int, chosen: tuple[Block, ...]) -> Iterator[InvertiblePolynomial]:
         if not rest:
@@ -132,10 +148,13 @@ def iter_representations(ws: WeightSystem) -> Iterator[InvertiblePolynomial]:
                 raise CrossCheckFailed(f"the option-table walk built {poly}, violating {poly.validate()}")
             yield poly
             return
-        for key, bit, reach, group in entries:
+        for key, bit, reach, kind, groups in entries:
             if key > last and rest & bit:
-                for mask, block in group:
+                for mask, slot, vs, es in groups[transposable]:
                     if mask & rest == mask and not (rest ^ mask) & ~reach:
+                        block = built[slot]
+                        if block is None:
+                            block = built[slot] = Block(kind, vs, es)
                         yield from walk(rest ^ mask, key, chosen + (block,))
 
     yield from walk((1 << n) - 1, -1, ())
@@ -143,7 +162,7 @@ def iter_representations(ws: WeightSystem) -> Iterator[InvertiblePolynomial]:
 
 def enumerate_representations(ws: WeightSystem) -> list[InvertiblePolynomial]:
     """All invertible polynomials P with exponent_matrix(P) . w = d . 1, in
-    canonical-key order and without duplicates.  An empty list is a valid
+    canonical order and without duplicates.  An empty list is a valid
     answer."""
     return list(iter_representations(ws))
 
@@ -154,26 +173,29 @@ def has_invertible_representation(ws: WeightSystem) -> bool:
     return count_representations(ws) > 0
 
 
-def _canonical_key(poly: InvertiblePolynomial):
-    return tuple((block.kind.value, block.variables, block.exponents) for block in poly.blocks)
-
-
 def find_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
     """The representation with a 2-chain on variables 0, 1 and a 3-cycle on
-    2, 3, 4 with the smallest per-variable exponent tuple (then the smallest
-    canonical key); table blocks are valid, so it is picked from the chain
+    2, 3, 4 with the smallest per-variable exponent tuple (then the first in
+    canonical order); table blocks are valid, so it is picked from the chain
     and cycle blocks of the two cells.  Raises :class:`NoRepresentation` when
     no such polynomial matches."""
     if ws.n_vars != 5:
         raise NoRepresentation("chain-cycle search expects a five-variable system")
     groups = _option_table(ws)[0]
-    # chains headed at 0 or 1 (keys 5, 6) and cycles pinned at 2 (key 12)
-    chains = [
-        Block(BlockKind.CHAIN, vs, es) for k in (5, 6) for vs, es, mask in groups.get(k, ()) if mask == 0b00011
-    ]
-    cycles = [Block(BlockKind.CYCLE, vs, es) for vs, es, mask in groups.get(12, ()) if mask == 0b11100]
-    polys = (InvertiblePolynomial(5, pair) for pair in product(chains, cycles))
-    chosen = min(polys, key=lambda p: (tuple(map(p.exponent_of, range(5))), _canonical_key(p)), default=None)
+    # chains headed at 0 or 1 (keys 5, 6) and cycles pinned at 2 (key 12), as
+    # raw (variables, exponents); a table cycle is already rotated as a Block
+    # is, so (chain, cycle) pairs compare in canonical order
+    chains = [(vs, es) for k in (5, 6) for vs, es, mask in groups.get(k, ()) if mask == 0b00011]
+    cycles = [(vs, es) for vs, es, mask in groups.get(12, ()) if mask == 0b11100]
+
+    def pick_key(pair):
+        (chain_vs, chain_es), (cycle_vs, cycle_es) = pair
+        per_variable = sorted(zip(chain_vs + cycle_vs, chain_es + cycle_es))
+        return tuple(e for _, e in per_variable), pair
+
+    chosen = min(product(chains, cycles), key=pick_key, default=None)
     if chosen is None:
         raise NoRepresentation(f"no chain-cycle representation for {ws}")
-    return chosen
+    (chain_vs, chain_es), (cycle_vs, cycle_es) = chosen
+    blocks = (Block(BlockKind.CHAIN, chain_vs, chain_es), Block(BlockKind.CYCLE, cycle_vs, cycle_es))
+    return InvertiblePolynomial(5, blocks)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
+from operator import index
 
 from .errors import CrossCheckFailed, NonPositiveWeights, NoSplit, SingularSystem
 from .polynomial import Block, BlockKind, InvertiblePolynomial
@@ -63,7 +64,9 @@ class WeightSystem:
     degree: int
 
     def __post_init__(self):
-        weights, degree = tuple(int(w) for w in self.weights), int(self.degree)
+        # index() admits ints only: a float or Fraction raises TypeError
+        # instead of being truncated
+        weights, degree = tuple(map(index, self.weights)), index(self.degree)
         if len(weights) < 2:
             raise ValueError("a weight system needs at least two weights")
         if min(weights) < 1:

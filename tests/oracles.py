@@ -10,7 +10,8 @@ Three brute-force models, deliberately disjoint from the package internals:
 * the torsion recursion and the subset Betti sum over index tuples in
   Fraction arithmetic, with the chain read off by a scan over j = 1..r;
 * the representation search as a scan over every set partition, every
-  linear order of a chain and every cyclic order of a cycle;
+  linear order of a chain and every cyclic order of a cycle, and the batch
+  dual search as a checked_dual on each of them in turn;
 * the weight solve as Gauss-Jordan elimination over Fraction;
 * the split closed forms alpha and beta of a five-variable (m2, m3) split.
 """
@@ -22,7 +23,10 @@ from itertools import combinations, permutations, product
 from math import floor, gcd, lcm
 
 from bhlink.divisor import CyclotomicDivisor
+from bhlink.duality import DualReport, checked_dual
 from bhlink.errors import (
+    BhlinkError,
+    CrossCheckFailed,
     NoRepresentation,
     NonIntegralMilnor,
     NonPositiveWeights,
@@ -270,6 +274,25 @@ def oracle_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
     if not candidates:
         raise NoRepresentation(f"no chain-cycle representation for {ws}")
     return min(candidates, key=lambda p: tuple(p.exponent_of(i) for i in range(5)))
+
+
+def oracle_batch_dual(ws: WeightSystem) -> DualReport | None:
+    """The dual a batch row reports, found by trying every representation:
+    the chain-cycle pick, then each one in canonical order, up to the first
+    whose checked_dual raises no BhlinkError (a CrossCheckFailed propagates);
+    None when no representation has a dual."""
+    try:
+        first = [oracle_chain_cycle(ws)]
+    except NoRepresentation:
+        first = []
+    for poly in first + oracle_representations(ws):
+        try:
+            return checked_dual(poly, ws)
+        except CrossCheckFailed:
+            raise
+        except BhlinkError:
+            continue
+    return None
 
 
 # ----- the weight solve over Fraction ----------------------------------------

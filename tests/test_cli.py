@@ -13,11 +13,26 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from bhlink import WeightSystem, cli, duality, enumerate_representations, find_chain_cycle, invariants, weights
+from bhlink import (
+    WeightSystem,
+    cli,
+    duality,
+    enumerate_representations,
+    find_chain_cycle,
+    homology_profile,
+    invariants,
+    is_twin,
+    weights,
+)
 from bhlink.cli import main
 from bhlink.errors import CrossCheckFailed, NonPositiveWeights, PreconditionFailed
 from bhlink.fixture import ROWS
+
+from generators import random_weight_system
+from oracles import oracle_batch_dual
 
 
 def run(capsys, *argv):
@@ -281,6 +296,40 @@ def test_batch_dual_falls_back_past_a_degenerate_first(tmp_path, capsys):
         b"12,22,6,54,33,66,0,1,20,61,false,PositiveRicciOnly,2,6 22 30 36 33,66,1,20,"
         b"PositiveRicciOnly,true,\r\n"
     )
+
+
+def assert_batch_row_matches_reference(ws):
+    # the reference tries every representation; the batch walk skips those
+    # whose transpose is invalid, so both must report the same dual
+    record = {**{f"w{i}": str(w) for i, w in enumerate(ws.weights)}, "d": str(ws.degree)}
+    row = cli.process_batch_row(record)
+    report = oracle_batch_dual(ws)
+    expected = dict.fromkeys(["dual_w", "dual_d", "dual_torsion", "dual_mu", "dual_se", "twin", "error"], "")
+    if report is not None:
+        expected.update(
+            dual_w=" ".join(map(str, report.dual_weights.weights)),
+            dual_d=str(report.dual_weights.degree),
+            dual_torsion=report.dual_profile.torsion_str(),
+            dual_mu=str(report.dual_profile.mu),
+            dual_se=report.dual_verdict.verdict.value,
+            twin=str(is_twin(homology_profile(ws), report.dual_profile)).lower(),
+        )
+    assert {column: row[column] for column in expected} == expected
+
+
+@pytest.mark.parametrize("weights, degree", [((1, 1, 1, 1, 1), 2), ((12, 22, 6, 54, 33), 66)])
+def test_batch_row_matches_the_full_search_on_named_rows(weights, degree):
+    assert_batch_row_matches_reference(WeightSystem(weights, degree))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batch_row_matches_the_full_search_on_generated_rows(seed):
+    rng = random.Random(seed)
+    got = None
+    while got is None:
+        got = random_weight_system(rng)
+    assert_batch_row_matches_reference(got[1])
 
 
 def _plus_one(real):

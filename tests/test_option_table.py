@@ -13,18 +13,19 @@ from bhlink import (
     find_chain_cycle,
     has_invertible_representation,
 )
-from bhlink.errors import CrossCheckFailed, NoRepresentation
-from bhlink.polynomial import Block, InvertiblePolynomial
+from bhlink.duality import checked_dual
+from bhlink.errors import CrossCheckFailed, NonPositiveWeights, NoRepresentation
+from bhlink.polynomial import Block, BlockKind, InvertiblePolynomial
 from bhlink.representation import (
     _KINDS,
-    _canonical_key,
     _option_table,
+    _walk_order,
     count_representations,
     iter_representations,
 )
 
 from generators import random_weight_system
-from oracles import _block_options, oracle_chain_cycle, oracle_representations
+from oracles import _block_options, _key, oracle_chain_cycle, oracle_representations
 
 # all-equal weights (780 representations, tied chain-cycle orientations), the
 # deep-torsion family (2,2,2,2,w; 2w) and three wide generated systems
@@ -66,7 +67,7 @@ def assert_matches_oracle(ws):
     reps = enumerate_representations(ws)
     assert reps == expected
     # the walk yields in canonical order, so enumeration needs no sort
-    assert list(iter_representations(ws)) == sorted(expected, key=_canonical_key)
+    assert list(iter_representations(ws)) == sorted(expected, key=_key)
     assert count_representations(ws) == len(expected)
     # the walk never yields a polynomial twice, so enumeration needs no set
     assert len(reps) == len(set(reps))
@@ -192,10 +193,8 @@ def test_chain_cycle_search_builds_blocks_on_its_two_cells_only(monkeypatch, wei
     _option_table.cache_clear()
     blocks = constructions(monkeypatch, Block)
     found = chain_cycle_outcome(find_chain_cycle, ws)
-    assert {frozenset(block.variables) for block in blocks} <= {frozenset({0, 1}), frozenset({2, 3, 4})}
-    # every candidate chain and cycle, and no block of any other cell
-    if found is not NoRepresentation:
-        assert set(found.blocks) <= set(blocks)
+    # the pick reads raw fields: only the winner's chain and cycle are built
+    assert blocks == ([] if found is NoRepresentation else list(found.blocks))
 
 
 def test_pipeline_command_builds_one_table():
@@ -212,3 +211,58 @@ def test_walk_validates_what_it_yields(monkeypatch):
     monkeypatch.setattr(InvertiblePolynomial, "validate", lambda self: ["Injected"])
     with pytest.raises(CrossCheckFailed, match="Injected"):
         next(iter_representations(WeightSystem((1,) * 5, 3)))
+
+
+# chains ending in exponent 1 (w_prev + w_cur = d) among the representations
+DUAL_FREE_CHAINS = [((1,) * 5, 2), ((12, 22, 6, 54, 33), 66)]
+
+
+def assert_transposable_walk(ws):
+    reps = list(iter_representations(ws))
+    kept = [p for p in reps if not p.transpose().validate()]
+    assert list(iter_representations(ws, transposable=True)) == kept
+    # what the walk drops could not have had a dual
+    for poly in reps:
+        if poly.transpose().validate():
+            with pytest.raises(NonPositiveWeights):
+                checked_dual(poly, ws)
+    return len(reps) - len(kept)
+
+
+@pytest.mark.parametrize(
+    "weights, degree", [pytest.param(w, d, id=system_id(w, d)) for w, d in NAMED + DUAL_FREE_CHAINS]
+)
+def test_transposable_walk_on_named_systems(weights, degree):
+    dropped = assert_transposable_walk(WeightSystem(weights, degree))
+    if (weights, degree) in DUAL_FREE_CHAINS:
+        assert dropped
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8))
+def test_transposable_walk_on_generated_systems(seed, n):
+    rng = random.Random(seed)
+    got = None
+    while got is None:
+        got = random_weight_system(rng, n=n)
+    assert_transposable_walk(got[1])
+
+
+def test_batch_row_builds_no_skipped_block(monkeypatch):
+    # (1^5; 2): every chain ends in exponent 1, so the batch walk skips all
+    # of them; only the chain-cycle pick's own chain is ever built
+    ws = WeightSystem((1,) * 5, 2)
+    skipped = {
+        Block(BlockKind.CHAIN, vs, es)
+        for k, group in _option_table(ws)[0].items()
+        if _KINDS[k // ws.n_vars] is BlockKind.CHAIN
+        for vs, es, _ in group
+        if es[-1] == 1
+    }
+    pick = find_chain_cycle(ws)
+    _walk_order.cache_clear()
+    blocks = constructions(monkeypatch, Block)
+    row = cli.process_batch_row({"w0": "1", "w1": "1", "w2": "1", "w3": "1", "w4": "1", "d": "2"})
+    assert row["error"] == "" and row["dual_w"]
+    assert len(skipped) > 1
+    assert skipped & set(blocks) <= set(pick.blocks)

@@ -211,6 +211,19 @@ def test_validate_names_each_violation(n_vars, block, violations):
     assert InvertiblePolynomial(n_vars, (block,)).validate() == violations
 
 
+def test_block_kind_given_as_a_string():
+    # the kind is normalized, so "chain" is a chain everywhere, not a cycle
+    block = Block("chain", (0, 1), (3, 1))
+    assert block.kind is BlockKind.CHAIN
+    assert block == Block(BlockKind.CHAIN, (0, 1), (3, 1))
+    poly = InvertiblePolynomial(2, (block,))
+    assert poly.validate() == []
+    assert poly.render() == "z0^3 + z0*z1"
+    assert classify(poly) == "Chain"
+    with pytest.raises(ValueError):
+        Block("loop", (0, 1), (3, 1))
+
+
 def test_render_chain_cycle():
     assert str(chain_cycle_881()) == "z0^3 + z0*z1^2 + z4*z2^5 + z2*z3^22 + z3*z4^8"
 

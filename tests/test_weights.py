@@ -1,5 +1,6 @@
 """Weight solving, reduction, index, well-formedness and degree splits."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -121,6 +122,21 @@ def test_weight_system_rejects_bad_data():
         WeightSystem((1,), 2)
     with pytest.raises(NonPositiveWeights, match="must be positive"):
         WeightSystem((1, 0, 1, 1, 1), 2)
+
+
+def test_weight_system_rejects_non_integers():
+    # no silent truncation: (2.9, ...; 20.7) is not (2, ...; 20)
+    for weights, degree in [
+        ((2.9, 3, 4, 5, 6), 21),
+        ((2, 3, 4, 5, 6), 20.7),
+        ((Fraction(7, 2), 3, 4, 5, 6), 21),
+        (("2", 3, 4, 5, 6), 21),
+        ((2, 3, 4, 5, 6), "21"),
+    ]:
+        with pytest.raises(TypeError):
+            WeightSystem(weights, degree)
+    # ints pass, and so do bools, which are ints
+    assert WeightSystem((True, 2, 3), 7).weights == (1, 2, 3)
 
 
 def test_normalized_divides_jointly():
