@@ -24,7 +24,12 @@ from .errors import BhlinkError, CrossCheckFailed, NoRepresentation
 from .fixture import ROWS, FixtureRow
 from .invariants import HomologyProfile, _profile_memo, homology_profile
 from .polynomial import classify
-from .representation import count_representations, find_chain_cycle, iter_representations
+from .representation import (
+    count_representations,
+    find_chain_cycle,
+    has_invertible_representation,
+    iter_representations,
+)
 from .weights import WeightSystem
 
 BATCH_OUTPUT_COLUMNS = [
@@ -81,12 +86,13 @@ def _build_system(args: argparse.Namespace) -> WeightSystem:
         raise _InputError(f"invalid weight system: {exc}")
 
 
-def _system_record(ws: WeightSystem) -> tuple[dict, HomologyProfile, int]:
-    """``analyze``'s record of the data, its profile and its number of
-    invertible representations: each command's source fields, computed once."""
+def _system_record(ws: WeightSystem) -> tuple[dict, HomologyProfile]:
+    """The source fields of the data and its profile, computed once: the
+    record ``analyze`` prints, less its torsion status.  Whether the data has
+    a representation, and how many, is left to the command that prints it:
+    ``analyze`` asks the existence search, ``batch`` the count."""
     profile = homology_profile(ws)
     verdict = se_certificate(ws)
-    count = count_representations(ws)
     space, hypersurface = ws.wellformedness()
     record = {
         "weights": list(ws.weights),
@@ -104,11 +110,8 @@ def _system_record(ws: WeightSystem) -> tuple[dict, HomologyProfile, int]:
             "inequality_holds": verdict.inequality_holds,
             "verdict": verdict.verdict.value,
         },
-        # the torsion recursion is a theorem exactly for data carrying an
-        # invertible polynomial; otherwise its output is conjectural
-        "torsion_status": "certified" if count else "conjectural",
     }
-    return record, profile, count
+    return record, profile
 
 
 def _raise_internal(errors) -> None:
@@ -119,7 +122,11 @@ def _raise_internal(errors) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    record, _, _ = _system_record(_build_system(args))
+    ws = _build_system(args)
+    record, _ = _system_record(ws)
+    # the torsion recursion is a theorem exactly for data carrying an
+    # invertible polynomial; otherwise its output is conjectural
+    record["torsion_status"] = "certified" if has_invertible_representation(ws) else "conjectural"
     if args.json:
         print(json.dumps(record, indent=2))
         return 0
@@ -141,7 +148,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     ws = _build_system(args)
     reports = pipeline(ws)
     # after pipeline(), so an over-budget system is refused before any profile
-    record, source, _ = _system_record(ws)
+    record, source = _system_record(ws)
     source_verdict = record["se"]["verdict"]
     if args.json:
         payload = []
@@ -198,7 +205,7 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
             raise ValueError(f"{len(extra)} more fields than the header")
         weights = tuple(_parse_int(record[f"w{i}"], f"w{i}") for i in range(5))
         ws = WeightSystem(weights, _parse_int(record["d"], "the degree"))
-        source, profile, count = _system_record(ws)
+        source, profile = _system_record(ws)
         out.update(
             {
                 "b3": str(source["betti"]),
@@ -207,7 +214,7 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
                 "index": str(source["fano_index"]),
                 "wellformed": str(source["wellformed_hypersurface"]).lower(),
                 "se_verdict": source["se"]["verdict"],
-                "n_reps": str(count),
+                "n_reps": str(count_representations(ws)),
             }
         )
         # report the chain-cycle dual when one exists (the shape whose dual

@@ -1,9 +1,33 @@
 """Exception types raised by the exact link-topology computations.
 
-Every error below signals bad *input data*, except :class:`CrossCheckFailed`,
-which signals a computation of this package that disagrees with its
-cross-check.  None is a recoverable state: callers that batch over many
-weight systems should catch :class:`BhlinkError` per item and keep going.
+Every error is a :class:`BhlinkError`, and each belongs to one of three
+families.
+
+Invalid input: the weight data, or a step computed from it, describes no
+link, so no answer exists.
+
+* :class:`NonIntegralExpansion`
+* :class:`NonIntegralOrder`
+* :class:`NonPositiveWeights`
+* :class:`NonIntegralMilnor`
+* :class:`SingularSystem`
+
+Not applicable: the data is fine, but the construction asked for does not
+apply to it.
+
+* :class:`NoSplit`
+* :class:`PreconditionFailed`
+* :class:`NoRepresentation`
+* :class:`PoleAtT`
+
+Internal: a computation of this package disagrees with its cross-check, which
+is the program's fault, not the input's.
+
+* :class:`CrossCheckFailed`
+
+Callers that batch over many weight systems should catch :class:`BhlinkError`
+per item and keep going; ``bhlink`` exits 2 on the first two families and 3
+on the last.
 """
 
 from __future__ import annotations

@@ -1,32 +1,43 @@
 """Count and enumerate the invertible polynomials representing a weight system.
 
-One data set (w; d) usually admits several polynomial shapes.  Exponents are
-forced by the weights,
+Every monomial of an invertible polynomial is x_v^a or x_v^a x_j, one per
+variable v, the one that owns it (Kreuzer and Skarke, *On the
+classification of quasihomogeneous functions*, Comm. Math. Phys. 150,
+1992).  So a representation is a *partner map*: each variable is either a
+head, owning x_v^a alone, or picks one partner j != v, and no variable is
+picked twice.  The orbits of such a map are chains, each ending at its head
+(a Fermat block is a head alone), and cycles.  Exponents are forced by the
+weights,
 
-    Fermat or chain head:  a = d / w,
+    Fermat or chain head:  a = d / w,               an integer >= 2,
     chain tail:            a_k = (d - w_prev) / w_k,
     cycle entry:           a_i = (d - w_next) / w_i,
 
-so a chain steps i -> j, and a cycle j -> i, only where (d - w_i) / w_j is a
-positive integer.  One option table (cached for the last system) holds the
-*valid* blocks as raw fields: Fermat blocks (d / w >= 2), then chains from
-each Fermat head and cycles pinned at their smallest variable, found by one
-walk along the steps, grouped by canonical key and counted per cell.  Every
-exponent is >= 1, so only an even cycle can be singular, and none that is
-degenerate (exponents all 1 on its even or odd positions) is kept.  So every
-set partition of table blocks is a representation: the count is a subset sum
-over the cell counts and builds no block, and the walk over partitions
-yields them lazily in canonical order (by the (kind value, variables,
-exponents) of each block, in the polynomial's block order), validating each
-one as an independent check of the rules it applied.  The walk builds each block when it first
-reaches it, and on request skips every chain ending in exponent 1: its
-transpose has no positive weights.
+so v may take j as its partner only where (d - w_j) / w_v is a positive
+integer (:func:`_partners` states this rule once).  Every exponent is >= 1,
+so only an even cycle can be singular; a map holding one that is degenerate
+(exponents all 1 on its even or its odd positions) is rejected, and every
+other partner map is exactly one representation.  So existence is a
+first-found search over partner maps that builds no polynomial, and the
+chain-cycle pick reads its few candidates straight from the partner rule.
+
+Counting and enumeration share one option table (cached for the last
+system), which holds the *valid* blocks as raw fields: Fermat blocks, then
+chains from each head and cycles pinned at their smallest variable, found by
+one walk from partners to the variables that may pick them, grouped by
+canonical key and counted per cell.  Every set partition of table blocks is
+a representation: the count is a subset sum over the cell counts and builds
+no block, and the walk over partitions yields them lazily in canonical order
+(by the (kind value, variables, exponents) of each block, in the
+polynomial's block order), validating each one as an independent check of
+the rules it applied.  The walk builds each block when it first reaches it,
+and on request skips every chain ending in exponent 1: its transpose has no
+positive weights.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import Iterator
 
 from .errors import CrossCheckFailed, NoRepresentation
@@ -41,6 +52,33 @@ _KINDS = (BlockKind.FERMAT, BlockKind.CHAIN, BlockKind.CYCLE)
 
 
 @lru_cache(maxsize=1)
+def _partners(ws: WeightSystem) -> tuple[list[dict[int, int]], list[dict[int, int]], list[bool]]:
+    """The monomials each variable may own.  ``partners[v][j]`` is the
+    exponent a of x_v^a x_j, (d - w_j) / w_v, for each j != v where that is
+    a positive integer, and ``steps[j][v]`` is the same exponent, keyed the
+    other way for walks that go from a partner to the variables that may
+    pick it; ``heads[v]`` says whether x_v^a alone can have degree d:
+    d / w_v is an integer >= 2.  Cached for the last system, so the table
+    and the chain-cycle pick of one batch row share it."""
+    d, w = ws.degree, ws.weights
+    rests = [d - x for x in w]
+    partners: list[dict[int, int]] = [{} for _ in w]
+    steps: list[dict[int, int]] = [{} for _ in w]
+    # loops, not comprehensions, which cost a call each before Python 3.12
+    for v, x in enumerate(w):
+        for j, r in enumerate(rests):
+            if r % x == 0 and r > 0 and j != v:
+                partners[v][j] = steps[j][v] = r // x
+    return partners, steps, [d % x == 0 and d >= 2 * x for x in w]
+
+
+def _degenerate(cycle: tuple[int, ...] | list[int]) -> bool:
+    """Whether a cycle's exponents make it singular: an even cycle whose
+    exponents are all 1 on its even or on its odd positions."""
+    return len(cycle) % 2 == 0 and min(max(cycle[0::2]), max(cycle[1::2])) == 1
+
+
+@lru_cache(maxsize=1)
 def _option_table(ws: WeightSystem) -> tuple[dict[int, list[tuple]], int]:
     """The valid blocks of the data as raw fields, and the number of
     representations they make.  One walk lists the (variables, exponents,
@@ -50,10 +88,7 @@ def _option_table(ws: WeightSystem) -> tuple[dict[int, list[tuple]], int]:
     n, d, w = ws.n_vars, ws.degree, ws.weights
     groups: dict[int, list[tuple]] = {}
     cells: dict[int, int] = {}
-    rests = [d - x for x in w]
-    # steps[i]: each j with its exponent (d - w_i) / w_j, a positive integer
-    steps = [[(j, r // x) for j, x in enumerate(w) if r >= x and r % x == 0] for r in rests]
-    heads = [d % x == 0 and d >= 2 * x for x in w]
+    partners, steps, heads = _partners(ws)
 
     def add(key: int, variables: tuple[int, ...], exponents: tuple[int, ...], mask: int) -> None:
         groups.setdefault(key, []).append((variables, exponents, mask))
@@ -75,12 +110,11 @@ def _option_table(ws: WeightSystem) -> tuple[dict[int, list[tuple]], int]:
                 add(n + head, path, exps, mask)
             # read backwards from the head, a path that closes is a cycle; one
             # that passed a variable below the head is pinned at that one instead
-            r, x = rests[last], w[head]
-            if r >= x and r % x == 0 and mask & -mask == 1 << head:
-                cycle = (r // x, *exps[:0:-1])
-                if len(cycle) % 2 or min(max(cycle[0::2]), max(cycle[1::2])) > 1:
+            if last in partners[head] and mask & -mask == 1 << head:
+                cycle = (partners[head][last], *exps[:0:-1])
+                if not _degenerate(cycle):
                     add(2 * n + head, path[:1] + path[:0:-1], cycle, mask)
-        for nxt, exp in steps[last]:
+        for nxt, exp in steps[last].items():
             if not mask >> nxt & 1 and (heads[head] or nxt > head):
                 paths.append((path + (nxt,), mask | 1 << nxt, exps + (exp,)))
 
@@ -168,34 +202,84 @@ def enumerate_representations(ws: WeightSystem) -> list[InvertiblePolynomial]:
 
 
 def has_invertible_representation(ws: WeightSystem) -> bool:
-    """Whether the data carries an invertible polynomial, read off the count:
-    degenerate data can admit hundreds of thousands of them."""
-    return count_representations(ws) > 0
+    """Whether the data carries an invertible polynomial: a first-found
+    search over partner maps, which correspond one to one to the
+    representations (see the module docstring), so it answers exactly
+    ``count_representations(ws) > 0``.  Each variable in turn is a head or
+    picks a partner nobody has picked yet, and a map that closes a
+    degenerate even cycle is abandoned.  It builds no table, no block and no
+    polynomial: degenerate data with hundreds of thousands of
+    representations answers at its first one."""
+    n = ws.n_vars
+    partners, _, heads = _partners(ws)
+    # the variables with the fewest options go first, so a dead end shows
+    # before the search branches on variables with many
+    order = sorted(range(n), key=lambda v: heads[v] + len(partners[v]))
+    if not heads[order[0]] and not partners[order[0]]:
+        return False
+    # partner[v]: None while v is not placed, -1 for a head
+    partner: list[int | None] = [None] * n
+    exps = [0] * n
+
+    def closes_degenerate_cycle(v: int) -> bool:
+        # the orbit of v's partner closes a cycle when it comes back to v
+        # before it meets a head or a variable not placed yet
+        cycle, k = [exps[v]], partner[v]
+        while k != v:
+            if partner[k] is None or partner[k] < 0:
+                return False
+            cycle.append(exps[k])
+            k = partner[k]
+        return _degenerate(cycle)
+
+    def place(i: int, picked: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        if heads[v]:
+            partner[v] = -1
+            if place(i + 1, picked):
+                return True
+        for j, a in partners[v].items():
+            if not picked >> j & 1:
+                partner[v], exps[v] = j, a
+                if not closes_degenerate_cycle(v) and place(i + 1, picked | 1 << j):
+                    return True
+        partner[v] = None
+        return False
+
+    return place(0, 0)
 
 
 def find_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
     """The representation with a 2-chain on variables 0, 1 and a 3-cycle on
     2, 3, 4 with the smallest per-variable exponent tuple (then the first in
-    canonical order); table blocks are valid, so it is picked from the chain
-    and cycle blocks of the two cells.  Raises :class:`NoRepresentation` when
-    no such polynomial matches."""
+    canonical order).  Its at most two chains and two cycles are read from
+    the partner rule; a 3-cycle is odd, so each of them is valid, and only
+    the winner's two blocks are built.  Raises :class:`NoRepresentation`
+    when no such polynomial matches."""
     if ws.n_vars != 5:
         raise NoRepresentation("chain-cycle search expects a five-variable system")
-    groups = _option_table(ws)[0]
-    # chains headed at 0 or 1 (keys 5, 6) and cycles pinned at 2 (key 12), as
-    # raw (variables, exponents); a table cycle is already rotated as a Block
-    # is, so (chain, cycle) pairs compare in canonical order
-    chains = [(vs, es) for k in (5, 6) for vs, es, mask in groups.get(k, ()) if mask == 0b00011]
-    cycles = [(vs, es) for vs, es, mask in groups.get(12, ()) if mask == 0b11100]
-
-    def pick_key(pair):
-        (chain_vs, chain_es), (cycle_vs, cycle_es) = pair
-        per_variable = sorted(zip(chain_vs + cycle_vs, chain_es + cycle_es))
-        return tuple(e for _, e in per_variable), pair
-
-    chosen = min(product(chains, cycles), key=pick_key, default=None)
-    if chosen is None:
+    d, w = ws.degree, ws.weights
+    partners, _, heads = _partners(ws)
+    # (per-variable exponents, variables, exponents) of each chain
+    # x_h^a + x_h x_t^b, and of each cycle x_2^a x_s + x_s^b x_t + x_t^c x_2,
+    # rotated to start at 2 as a Block stores it
+    chains, cycles = [], []
+    for h, t in ((0, 1), (1, 0)):
+        if heads[h] and h in partners[t]:
+            a, b = d // w[h], partners[t][h]
+            chains.append(((a, b) if h == 0 else (b, a), (h, t), (a, b)))
+    for s, t in ((3, 4), (4, 3)):
+        if s in partners[2] and t in partners[s] and 2 in partners[t]:
+            a, b, c = partners[2][s], partners[s][t], partners[t][2]
+            cycles.append(((a, b, c) if s == 3 else (a, c, b), (2, s, t), (a, b, c)))
+    if not chains or not cycles:
         raise NoRepresentation(f"no chain-cycle representation for {ws}")
-    (chain_vs, chain_es), (cycle_vs, cycle_es) = chosen
+    # the cells are disjoint and two chains never tie on exponents (the one
+    # headed at 1 gives x_0 the smaller one), so the smallest per-variable
+    # exponent tuple, then canonical order, picks the chain and the cycle apart
+    _, chain_vs, chain_es = min(chains)
+    _, cycle_vs, cycle_es = min(cycles)
     blocks = (Block(BlockKind.CHAIN, chain_vs, chain_es), Block(BlockKind.CYCLE, cycle_vs, cycle_es))
     return InvertiblePolynomial(5, blocks)

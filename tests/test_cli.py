@@ -1,5 +1,6 @@
 """Command-line surface: analyze, pipeline, batch, verify-table."""
 
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -13,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bhlink import (
@@ -271,10 +272,55 @@ def test_batch_no_representation_row(tmp_path, capsys):
     assert record["n_reps"] == "0"
     assert record["dual_w"] == ""
     assert record["b3"] == "138"
-    # the torsion tag reads the same count as n_reps
+    # the torsion tag, from the existence search, agrees with the count
     code, out = run(capsys, "analyze", "-w", "1,1,1,1,4", "-d", "7", "--json")
     assert code == 0
     assert json.loads(out)["torsion_status"] == "conjectural"
+
+
+def _quiet_main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@st.composite
+def five_weight_rows(draw):
+    """A generator row, which has a representation, or uniformly random
+    small weights, most of which have none."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        got = None
+        while got is None:
+            got = random_weight_system(rng)
+        return got[1].weights, got[1].degree
+    weights = tuple(draw(st.lists(st.integers(1, 8), min_size=5, max_size=5)))
+    return weights, draw(st.integers(max(weights) + 1, 24))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(row=five_weight_rows())
+# every partner map of this system holds a degenerate 2-cycle: conjectural, n_reps 0
+@example(row=((12, 11, 9, 8, 4), 20))
+def test_analyze_tag_agrees_with_batch_count(tmp_path_factory, row):
+    # analyze's tag comes from the existence search and batch's n_reps from
+    # the count: certified exactly when n_reps is not 0
+    weights, degree = row
+    code, out = _quiet_main(["analyze", "-w", ",".join(map(str, weights)), "-d", str(degree), "--json"])
+    src = tmp_path_factory.mktemp("row") / "in.csv"
+    dst = src.with_name("out.csv")
+    _write_rows(src, [row])
+    assert _quiet_main(["batch", str(src), str(dst)])[0] == 0
+    with dst.open(newline="") as handle:
+        (record,) = csv.DictReader(handle)
+    assert code in (0, 2)
+    if code:
+        # data analyze refuses fails that batch row before it is counted
+        assert record["error"] and record["n_reps"] == ""
+    else:
+        expected = "certified" if record["n_reps"] != "0" else "conjectural"
+        assert json.loads(out)["torsion_status"] == expected
 
 
 def test_batch_dual_falls_back_past_a_degenerate_first(tmp_path, capsys):

@@ -15,6 +15,7 @@ from bhlink import (
 )
 from bhlink.duality import checked_dual
 from bhlink.errors import CrossCheckFailed, NonPositiveWeights, NoRepresentation
+from bhlink.fixture import ROWS
 from bhlink.polynomial import Block, BlockKind, InvertiblePolynomial
 from bhlink.representation import (
     _KINDS,
@@ -99,7 +100,7 @@ SINGULAR_2_CYCLES = [((11, 24, 4, 22, 20), 44), ((147, 35, 26, 26, 7), 182), ((2
 
 
 def test_existence_check_validates_no_polynomial(monkeypatch):
-    # existence reads the count, so it builds and validates no polynomial
+    # existence searches partner maps, so it builds and validates no polynomial
     calls = []
     validate = InvertiblePolynomial.validate
     monkeypatch.setattr(
@@ -197,9 +198,78 @@ def test_chain_cycle_search_builds_blocks_on_its_two_cells_only(monkeypatch, wei
     assert blocks == ([] if found is NoRepresentation else list(found.blocks))
 
 
+# data whose every partner map holds a degenerate even cycle, though each
+# variable may be a head or pick a partner: no representation.  A search
+# without the degeneracy test, or one that lets two variables pick the same
+# partner, answers yes on some of them: in (1,5,4,3,2; 7), x_4 may take x_0
+# (taken by x_3), x_3 (taken by x_2) or x_1 (a degenerate 2-cycle)
+DEGENERATE_ONLY = [
+    ((1, 5, 4, 3, 2), 7),
+    ((12, 11, 9, 8, 4), 20),
+    ((3, 2, 4, 1, 4, 1), 5),
+    ((2, 5, 1, 6, 3, 4, 1), 7),
+    ((1, 4, 1, 4, 3, 2, 2, 3), 5),
+    ((2, 2, 2, 2, 3, 3, 3, 3), 5),
+]
+
+
+def assert_existence_matches(ws):
+    """The partner-map search, the table count and the permutation-scan
+    oracle agree on whether the data has a representation."""
+    found = has_invertible_representation(ws)
+    assert found == (count_representations(ws) > 0) == bool(oracle_representations(ws))
+    return found
+
+
+@pytest.mark.parametrize(
+    "ws",
+    # assert_matches_oracle checks the named systems
+    [pytest.param(WeightSystem(w, d), id=system_id(w, d)) for w, d in SINGULAR_2_CYCLES + DEGENERATE_ONLY]
+    + [
+        pytest.param(unchecked_system(w, d), id=system_id(w, d))
+        for w, d in (((1, 1, 2, 2, 2), 2), ((1, 1, 2, 2, 4), 2))
+    ],
+)
+def test_existence_search_matches_count_and_oracle(ws):
+    found = assert_existence_matches(ws)
+    if (ws.weights, ws.degree) in DEGENERATE_ONLY:
+        assert not found
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(weights=st.lists(st.integers(1, 12), min_size=5, max_size=8), data=st.data())
+def test_existence_search_and_chain_cycle_pick_on_random_weights(weights, data):
+    # uniformly random data: most of it has no representation
+    ws = WeightSystem(weights, data.draw(st.integers(max(weights) + 1, 36)))
+    assert_existence_matches(ws)
+    assert chain_cycle_outcome(find_chain_cycle, ws) == chain_cycle_outcome(oracle_chain_cycle, ws)
+
+
+def test_chain_cycle_pick_on_golden_sources():
+    for row in ROWS:
+        ws = WeightSystem(row.source, row.source_degree)
+        assert find_chain_cycle(ws) == oracle_chain_cycle(ws), row.source
+
+
+def test_analyze_and_verify_table_build_no_table(monkeypatch, capsys):
+    # analyze's torsion tag comes from the partner-map search, so (1^8; 3),
+    # with 693,840 representations, builds no table, no block and no polynomial
+    _option_table.cache_clear()
+    blocks = constructions(monkeypatch, Block)
+    polys = constructions(monkeypatch, InvertiblePolynomial)
+    assert cli.main(["analyze", "-w", "1,1,1,1,1,1,1,1", "-d", "3"]) == 0
+    assert "[certified]" in capsys.readouterr().out
+    assert _option_table.cache_info().misses == 0
+    assert blocks == polys == []
+    # verify-table reads each row's chains and cycles from the partner rule
+    assert cli.main(["verify-table"]) == 0
+    capsys.readouterr()
+    assert _option_table.cache_info().misses == 0
+
+
 def test_pipeline_command_builds_one_table():
-    # pipeline() counts for its budget and the source record counts again:
-    # both read the count of the one table built for the system
+    # pipeline() counts for its budget, then walks the same table; the
+    # source record reads neither the count nor the existence search
     _option_table.cache_clear()
     assert cli.main(["pipeline", "-w", "1,1,1,1,1", "-d", "3"]) == 0
     assert _option_table.cache_info().misses == 1
