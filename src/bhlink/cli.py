@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
@@ -248,6 +247,21 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
     return out
 
 
+# --jobs 2 over --jobs 1 time, medians of 6 alternating pairs, 2 CPUs, CPython 3.11: survey rows
+# 200 1.30-1.44, 250 1.10, 300 0.70-0.87, 1,000 0.65; duals rows 100 1.13, 200 0.98, 500 0.90
+_ROWS_PER_WORKER = 150
+
+
+def __getattr__(name: str):
+    # the pool, and with it multiprocessing, is imported only by a batch that
+    # forks one; cmd_batch reads it through the module, so a patched class wins
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -291,10 +305,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
         raise _InputError(f"cannot write {args.output}: {exc.strerror}")
 
     with output:
-        # a pool forks all its workers at once: never more than rows or CPUs
-        workers = min(args.jobs, len(records), _available_cpus())
+        # a pool forks all its workers at once: never more than CPUs, and
+        # each gets at least _ROWS_PER_WORKER rows, below which a pool loses
+        workers = min(args.jobs, len(records) // _ROWS_PER_WORKER, _available_cpus())
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(process_batch_row, records, chunksize=8))
         else:
             results = [process_batch_row(record) for record in records]
@@ -438,7 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
     batch = sub.add_parser("batch", help="process a CSV of weight systems")
     batch.add_argument("input", help="CSV with header w0,w1,w2,w3,w4,d[,ke_status]")
     batch.add_argument("output", help="output CSV path")
-    batch.add_argument("--jobs", type=_positive_int, default=1)
+    batch.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help=f"worker processes, at most one per CPU and per {_ROWS_PER_WORKER} rows",
+    )
     batch.set_defaults(func="cmd_batch")
 
     verify = sub.add_parser("verify-table", help="check the embedded golden table")
@@ -453,6 +473,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _silence_failed_stdout() -> None:
+    """Point a stdout that fails again at devnull, so the flush at exit cannot
+    fail a second time.  A stdout that flushes, such as the caller's after the
+    output CSV failed, or one with no descriptor, such as a StringIO, is left
+    as it is."""
+    try:
+        sys.stdout.flush()
+        return
+    except OSError:
+        pass
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -464,9 +505,8 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             sys.stdout.flush()  # the output comes first; a failed flush is a write failure
     except OSError as exc:
-        # stdout was closed early (say, piped into head) or an output is full;
-        # point stdout at devnull so the flush at exit cannot fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout was closed early (say, piped into head) or an output is full
+        _silence_failed_stdout()
         if isinstance(exc, BrokenPipeError):
             print("error: stdout was closed before all output was written", file=sys.stderr)
         else:

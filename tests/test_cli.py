@@ -738,10 +738,15 @@ def test_batch_pool_capped_by_rows_and_cpus(tmp_path, capsys, monkeypatch):
     serial = tmp_path / "serial.csv"
     _write_rows(tmp_path / "six.csv", systems)
     assert main(["batch", str(tmp_path / "six.csv"), str(serial)]) == 0
-    for rows, jobs, expected in ((1, 100000, []), (3, 100000, [3]), (6, 100000, [4]), (6, 2, [2])):
+    # below two workers' worth of rows nothing is forked, at it two workers are
+    floor = cli._ROWS_PER_WORKER
+    cases = [(floor, 2 * floor - 1, 2, []), (floor, 2 * floor, 2, [2])]
+    cases += [(1, 1, 100000, []), (1, 3, 100000, [3]), (1, 6, 100000, [4]), (1, 6, 2, [2])]
+    for rows_per_worker, rows, jobs, expected in cases:
+        monkeypatch.setattr(cli, "_ROWS_PER_WORKER", rows_per_worker)
         _RecordingPool.sizes.clear()
         src, dst = tmp_path / f"in{rows}.csv", tmp_path / f"out{rows}.csv"
-        _write_rows(src, systems[:rows])
+        _write_rows(src, (systems * rows)[:rows])
         assert main(["batch", str(src), str(dst), "--jobs", str(jobs)]) == 0
         assert _RecordingPool.sizes == expected, (rows, jobs)
         if rows == 6:
@@ -791,6 +796,7 @@ def test_injected_closed_form_disagreement_reaches_every_command(tmp_path, capsy
     # compared with it all the same; a real two-worker pool sees the
     # failure only as the error text its rows carry back
     monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)
     src = tmp_path / "in.csv"
     _write_rows(src, [(ws.weights, ws.degree), ((1, 1, 1), 2), (ws.weights[::-1], ws.degree), ((1, 1, 1, 1, 1), 5)])
     outputs = []
@@ -907,6 +913,56 @@ def test_full_device_exit_2():
     assert proc.stderr.decode() == "error: cannot write output: No space left on device\n"
 
 
+def test_full_output_csv_under_a_stringio_stdout_exit_2(tmp_path, capsys):
+    # main's callers in this process swap stdout for a buffer with no descriptor
+    src = tmp_path / "in.csv"
+    _write_rows(src, [((15, 35, 14, 7, 35), 105)])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["batch", str(src), "/dev/full"]) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == "error: cannot write output: No space left on device\n"
+
+
+def test_full_output_csv_leaves_the_callers_stdout_open(tmp_path):
+    # the output CSV failed, not stdout: what the host process prints next arrives
+    src = tmp_path / "in.csv"
+    _write_rows(src, [((15, 35, 14, 7, 35), 105)])
+    host = "import sys; from bhlink import cli; print('exit', cli.main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", host, "batch", str(src), "/dev/full"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.decode() == "exit 2\n"
+    assert proc.stderr.decode() == "error: cannot write output: No space left on device\n"
+
+
+def test_commands_without_a_pool_do_not_import_it(tmp_path):
+    # a fresh interpreter: only a batch that forks a pool imports it, and the
+    # name still resolves on the module
+    src = tmp_path / "in.csv"
+    _write_rows(src, [((15, 35, 14, 7, 35), 105), ((73, 73, 95, 45, 80), 365)])
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from bhlink import cli\n"
+        "cli._available_cpus = lambda: 2\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['analyze', '-w', '73,73,95,45,80', '-d', '365']),\n"
+        "             cli.main(['pipeline', '-w', '73,73,95,45,80', '-d', '365']),\n"
+        "             cli.main(['verify-table']),\n"
+        "             cli.main(['batch', sys.argv[1], sys.argv[2], '--jobs', '2'])]\n"
+        "imported = 'concurrent.futures.process' in sys.modules\n"
+        "from concurrent.futures.process import ProcessPoolExecutor\n"
+        "print(json.dumps([codes, imported, cli.ProcessPoolExecutor is ProcessPoolExecutor]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(src), str(tmp_path / "out.csv")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=120,
+    )
+    assert proc.stderr.decode() == ""
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0], False, True]
+
+
 def test_cross_check_line_follows_the_output_in_a_merged_stream():
     # main flushes stdout before it writes the cross-check line
     inject = (
@@ -1010,6 +1066,7 @@ def test_batch_two_worker_pool_matches_serial_on_permuted_duplicates(tmp_path, c
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)
     rng = random.Random(3)
     systems = [((12, 22, 6, 54, 33), 66), ((6, 22, 30, 36, 33), 66), ((19, 18, 5, 12, 16), 20)]
     for row in ROWS[:6]:
