@@ -17,10 +17,10 @@ import sys
 from functools import lru_cache
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .duality import Verdict, checked_dual, is_twin, pipeline, se_certificate
 from .errors import BhlinkError, CrossCheckFailed, NoRepresentation
-from .fixture import ROWS, FixtureRow
 from .invariants import HomologyProfile, _profile_memo, homology_profile
 from .polynomial import classify
 from .representation import (
@@ -30,6 +30,9 @@ from .representation import (
     iter_representations,
 )
 from .weights import WeightSystem
+
+if TYPE_CHECKING:
+    from .fixture import FixtureRow
 
 BATCH_OUTPUT_COLUMNS = [
     "b3",
@@ -350,6 +353,8 @@ def _load_fixture_csv(path: Path) -> list[FixtureRow]:
     """Read a golden-table CSV; :class:`_InputError` on an unreadable file, a
     header without the fixture columns, no rows, a row with more fields than
     the header or a field that does not parse."""
+    from .fixture import FixtureRow
+
     header, records = _read_csv(path)
     missing = [column for column in _FIXTURE_COLUMNS if column not in header]
     if missing:
@@ -405,6 +410,9 @@ def verify_row(row: FixtureRow) -> tuple[bool, str]:
 
 
 def cmd_verify_table(args: argparse.Namespace) -> int:
+    # the embedded table is imported by this command alone
+    from .fixture import ROWS
+
     rows = _load_fixture_csv(Path(args.fixture)) if args.fixture else list(ROWS)
     failures = []
     for row in rows:
@@ -469,8 +477,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, built once per process, and the subcommand parsers
+    it holds: the choices of the action ``add_subparsers`` returned."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return parser, commands
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Parse a command line once.  argparse's nested parse reads every token
+    twice: the top-level parser classifies them all, then hands those after
+    the command word to that command's parser.  Here that parser alone reads
+    them, and leftovers get the top-level parser's ``unrecognized arguments``
+    error, as in the nested parse.  Help, no arguments and an unknown command
+    take the nested parse."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _silence_failed_stdout() -> None:
@@ -495,9 +525,10 @@ def _silence_failed_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
         try:
+            # parsed inside the flush, so help that cannot be written is a write failure
+            args = _parse(argv)
             # the command is looked up by name at call time, so a replaced cmd_* runs;
             # it profiles each distinct system once, and forked batch workers inherit that
             with _profile_memo():

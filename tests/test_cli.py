@@ -913,6 +913,90 @@ def test_full_device_exit_2():
     assert proc.stderr.decode() == "error: cannot write output: No space left on device\n"
 
 
+class _UnflushableStdout(io.StringIO):
+    """A buffered stdout whose writes succeed and whose flush fails, as a full
+    device or a closed pipe fails the flush of a block-buffered stdout."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def flush(self):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (OSError(errno.ENOSPC, "No space left on device"), "error: cannot write output: No space left on device\n"),
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), "error: stdout was closed before all output was written\n"),
+    ],
+    ids=["full", "closed"],
+)
+def test_help_that_cannot_be_written_exit_2(capsys, monkeypatch, error, line):
+    # argparse prints the help and raises SystemExit; main's flush fails after
+    monkeypatch.setattr(sys, "stdout", _UnflushableStdout(error))
+    assert main(["analyze", "-h"]) == 2
+    assert capsys.readouterr().err == line
+
+
+def test_help_and_usage_errors_still_exit_through_argparse(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bhlink analyze [-h]")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "-w", "1,1,1,1,1", "-d", "5", "--bogus"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bhlink [-h]")
+    assert err.endswith("\nbhlink: error: unrecognized arguments: --bogus\n")
+
+
+def test_a_command_line_is_parsed_once(capsys, monkeypatch):
+    # the command's own parser reads the tokens; the top-level parser does not
+    parser, commands = cli._parser()
+    monkeypatch.setattr(parser, "parse_args", None)
+    monkeypatch.setattr(parser, "parse_known_args", None)
+    calls = []
+    real = commands["analyze"].parse_known_args
+    monkeypatch.setattr(commands["analyze"], "parse_known_args", lambda argv: calls.append(argv) or real(argv))
+    assert main(["analyze", "-w", "15,35,14,7,35", "-d", "105"]) == 0
+    assert calls == [["-w", "15,35,14,7,35", "-d", "105"]]
+    assert "Z_7^26" in capsys.readouterr().out
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["bhlink", "analyze", "-w", "15,35,14,7,35", "-d", "105", "--json"])
+    assert main() == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["weights"], record["degree"], record["milnor"]) == ([15, 35, 14, 7, 35], 105, 2184)
+
+
+def test_only_verify_table_imports_the_golden_table(tmp_path):
+    src = tmp_path / "in.csv"
+    _write_rows(src, [((15, 35, 14, 7, 35), 105)])
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from bhlink import cli\n"
+        "seen = ['bhlink.fixture' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['analyze', '-w', '73,73,95,45,80', '-d', '365'],\n"
+        "                 ['pipeline', '-w', '73,73,95,45,80', '-d', '365'],\n"
+        "                 ['batch', sys.argv[1], sys.argv[2]], ['verify-table']):\n"
+        "        assert cli.main(argv) == 0\n"
+        "        seen.append('bhlink.fixture' in sys.modules)\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(src), str(tmp_path / "out.csv")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=120,
+    )
+    assert proc.stderr.decode() == ""
+    assert json.loads(proc.stdout) == [False, False, False, False, True]
+
+
 def test_full_output_csv_under_a_stringio_stdout_exit_2(tmp_path, capsys):
     # main's callers in this process swap stdout for a buffer with no descriptor
     src = tmp_path / "in.csv"

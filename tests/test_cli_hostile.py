@@ -1,5 +1,7 @@
 """Hostile input to the command line: weight and degree strings, batch CSVs and
-golden-table CSVs with blank, signed, non-integer, huge or misplaced fields.
+golden-table CSVs with blank, signed, non-integer, huge or misplaced fields,
+and token sequences that the direct parse and argparse's nested parse must
+read alike.
 
 Whatever the input, no command ends in a traceback.  A refused command exits 2
 with one ``error:`` line and writes nothing to stdout; a bad ``batch`` row is
@@ -17,7 +19,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhlink.cli import _FIXTURE_COLUMNS, main
+from bhlink.cli import _FIXTURE_COLUMNS, _parse, build_parser, main
 from bhlink.fixture import ROWS
 
 SMALL = st.sampled_from(["1", "2", "3", "5", "7", "10", "30", "105"])
@@ -166,3 +168,40 @@ def test_fixture_csv(header, rows, extra):
         assert code in (0, 1) and err == ""
         assert out.endswith(f"/{len(rows)} rows verified\n")
         assert (code == 0) == out.endswith(f"\n{len(rows)}/{len(rows)} rows verified\n")
+
+
+# command words, options with their abbreviations and attached values, and values
+TOKEN = st.sampled_from(
+    [
+        "analyze", "pipeline", "batch", "verify-table", "nosuch", "-h", "--help", "--he", "--",
+        "-w", "--weights", "--we", "--weights=1,1,1,1,1", "-w1,1,1,1,1", "-d", "--degree", "--deg", "-d5",
+        "--json", "--js", "--json=1", "--jobs", "--job", "--jobs=2", "--fixture", "--fix", "--bogus",
+        "1,1,1,1,1", "5", "-5", "", "x",
+    ]
+)
+COMMAND_LINE = st.one_of(
+    st.lists(TOKEN, max_size=8),
+    st.tuples(st.sampled_from(["analyze", "pipeline", "batch", "verify-table"]), st.lists(TOKEN, max_size=8)).map(
+        lambda drawn: [drawn[0], *drawn[1]]
+    ),
+)
+
+
+def _parsed(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields, code = vars(parse(argv)), None
+        except SystemExit as exc:
+            fields, code = None, exc.code
+    if fields is not None:
+        # only the nested parse records the command word; nothing reads it
+        fields.pop("command", None)
+    return fields, code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=COMMAND_LINE)
+def test_direct_parse_matches_the_nested_parse(argv):
+    # the same namespace, or the same exit code, help, usage and error line
+    assert _parsed(_parse, argv) == _parsed(lambda tokens: build_parser().parse_args(tokens), argv)
