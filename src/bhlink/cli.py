@@ -56,6 +56,20 @@ class _InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a failed write of help or usage to stdout
+    raises.  argparse drops the OSError, so on an unbuffered stdout help that
+    cannot be written would exit 0 with nothing written; raised, it reaches
+    :func:`main` as a write failure.  Messages to stderr are written as
+    argparse writes them."""
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _parse_int(text: str, field: str) -> int:
     # for n <= 8 weights b3 <= mu < d^n, a torsion factor is at most prod u_i
     # <= d^n and a multiplicity at most max k <= 2^n d^n: a 500-digit degree
@@ -437,7 +451,7 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bhlink",
         description=(
             "Exact topology of weighted-homogeneous hypersurface links, "

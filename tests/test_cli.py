@@ -940,6 +940,47 @@ def test_help_that_cannot_be_written_exit_2(capsys, monkeypatch, error, line):
     assert capsys.readouterr().err == line
 
 
+class _UnwritableStdout(io.StringIO):
+    """An unbuffered stdout: each write goes to the device at once, so the
+    write itself fails, and there is nothing left for a flush to fail on."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (OSError(errno.ENOSPC, "No space left on device"), "error: cannot write output: No space left on device\n"),
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), "error: stdout was closed before all output was written\n"),
+    ],
+    ids=["full", "closed"],
+)
+def test_help_that_cannot_be_written_unbuffered_exit_2(capsys, monkeypatch, error, line):
+    # argparse drops an OSError from its own write; the CLI's parsers let it
+    # reach main, which gives the write failure its one line
+    monkeypatch.setattr(sys, "stdout", _UnwritableStdout(error))
+    assert main(["analyze", "-h"]) == 2
+    assert main(["-h"]) == 2
+    assert capsys.readouterr().err == line * 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_help_on_an_unbuffered_full_device_exit_2():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bhlink.cli", "analyze", "-h"],
+            stdout=full, stderr=subprocess.PIPE, env=dict(_subprocess_env(), PYTHONUNBUFFERED="1"),
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: cannot write output: No space left on device\n"
+
+
 def test_help_and_usage_errors_still_exit_through_argparse(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["analyze", "-h"])

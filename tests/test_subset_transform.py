@@ -3,13 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import groupby
-from math import lcm
+from math import lcm, prod
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bhlink import WeightSystem, betti_subset_sum, homology_profile, orlik_torsion
+from bhlink import WeightSystem, betti_subset_sum, homology_profile, invariants, orlik_torsion
 from bhlink.errors import BhlinkError
 
 from generators import random_weight_system
@@ -81,8 +81,8 @@ def test_subset_transform_matches_oracle_on_raw_weights(data, n, degree):
     assert_matches_oracle(WeightSystem(weights, degree))
 
 
-# many shared prime powers, so the gcds outside the subsets are deep and
-# every division of the c butterfly has something to cancel
+# many shared prime powers, so the gcds outside the subsets are deep and the
+# closed form g(S) / gcd(g(S), lcm u_S) has something to cancel in every mask
 HIGHLY_COMPOSITE = (2, 4, 6, 12, 24, 36, 48, 60, 120, 180, 240, 360, 720, 840, 1260, 2520, 5040)
 
 
@@ -106,3 +106,56 @@ def test_torsion_runs_do_not_scan_r(w, r):
     assert sheet.r == r
     assert torsion == ((2, 1),)
     assert homology_profile(ws).torsion == ((2, 1),)
+
+
+@st.composite
+def generated_systems(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(5, 8))
+    got = None
+    while got is None:
+        got = random_weight_system(rng, n=n)
+    return got[1]
+
+
+def runs_from_worksheet(sheet):
+    """d_j = product of the c > 1 with floor(k) >= j, read at each distinct
+    floor: the run ending there has that product and the gap as its length."""
+    floors = [(value, k // sheet.scale) for value, k in zip(sheet.c, sheet.scaled_k) if value > 1]
+    levels = sorted({level for _, level in floors if level >= 1})
+    return tuple(
+        (prod(value for value, floor in floors if floor >= level), level - previous)
+        for previous, level in zip([0] + levels, levels)
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ws=generated_systems())
+@example(ws=WeightSystem((2, 2, 2, 2, 1000), 2000))
+# seven runs, Z_17160^66 + ... + Z_2^2776840197552, r = 34,887,393,709,320
+@example(ws=WeightSystem((858, 312, 30030, 312, 15015, 180180, 24, 4004), 720720))
+def test_torsion_runs_match_their_own_worksheet(ws):
+    # no r cap: the runs the kernel builds from k at the masks with c > 1
+    # equal the runs grouped from the full c and k arrays
+    sheet, torsion = orlik_torsion(ws)
+    assert torsion == runs_from_worksheet(sheet)
+
+
+def test_the_profile_computes_no_full_k_array(monkeypatch):
+    # the profile reads k only where c > 1; the worksheet's full k array and
+    # r are computed on first read, which the profile never makes
+    sheets = []
+    real = invariants.orlik_torsion
+
+    def recording(ws):
+        out = real(ws)
+        sheets.append(out[0])
+        return out
+
+    monkeypatch.setattr(invariants, "orlik_torsion", recording)
+    profile = homology_profile(WeightSystem((576, 1399, 82, 256, 576), 2880))
+    assert profile.torsion == ((90, 1), (18, 3))
+    (sheet,) = sheets
+    assert "scaled_k" not in vars(sheet) and "r" not in vars(sheet)
+    assert sheet.r == 4
+    assert "scaled_k" in vars(sheet)
