@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -130,6 +130,46 @@ def _system_record(ws: WeightSystem) -> tuple[dict, HomologyProfile]:
     return record, profile
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _indented_json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for dicts with str keys, lists, tuples,
+    strs, ints, bools and None; any other type, subclasses included, raises
+    TypeError.  Strings go through the stdlib's own C escaper and ints
+    through ``int.__repr__``, as in ``json.dumps``.  Before CPython 3.13 the
+    stdlib writes indented JSON in pure Python, and this is faster."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_escape(key)}: {_indented_json(item, inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_indented_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+# CPython 3.13 writes indented JSON in C, faster than the writer above
+_json_text = partial(json.dumps, indent=2) if sys.version_info >= (3, 13) else _indented_json
+
+
 def _raise_internal(errors) -> None:
     # an item's error text is all that comes back from a forked batch worker
     failed = [e for e in errors if e and e.startswith("CrossCheckFailed: ")]
@@ -144,7 +184,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # invertible polynomial; otherwise its output is conjectural
     record["torsion_status"] = "certified" if has_invertible_representation(ws) else "conjectural"
     if args.json:
-        print(json.dumps(record, indent=2))
+        print(_json_text(record))
         return 0
     print(f"weight system   {tuple(record['weights'])}  d = {record['degree']}")
     print(f"b3              {record['betti']}")
@@ -190,7 +230,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 )
             payload.append(entry)
         head = {key: record[key] for key in ("weights", "degree", "betti", "torsion", "milnor")}
-        print(json.dumps({**head, "representations": payload}, indent=2))
+        print(_json_text({**head, "representations": payload}))
     elif not reports:
         print(f"no invertible representation matches {ws}")
     else:

@@ -346,7 +346,8 @@ def _computed_profile(ws: WeightSystem) -> HomologyProfile:
         raise CrossCheckFailed(
             f"Milnor mismatch for {ws}: product {mu}, divisor root count {divisor.root_count()}"
         )
-    if all(gcd(ws.degree, w) == 1 for w in ws.weights):
+    # every gcd(d, w_i) = 1 exactly when each v_i = w_i / gcd(d, w_i) is w_i
+    if ws.reduced().v == ws.weights:
         s = -1 if ws.n_vars % 2 else 1
         if mu - s != ws.degree * (b - s):
             raise CrossCheckFailed(

@@ -199,17 +199,24 @@ class InvertiblePolynomial:
         """Text form in standard notation, e.g. ``z0^3 + z0*z1^2 + z4*z2^5``.
 
         Monomials appear in owner-variable order; in two-variable monomials
-        the exponent-1 variable is written first.
+        the exponent-1 variable is written first.  Each monomial is read from
+        its block, without building :meth:`exponent_matrix`.
         """
-        rows = self.exponent_matrix()
-        parts = []
-        for r, row in enumerate(rows):
-            if not any(row):
-                continue
-            own = f"z{r}" if row[r] == 1 else f"z{r}^{row[r]}"
-            other = [c for c in range(self.n_vars) if c != r and row[c]]
-            parts.append(f"z{other[0]}*{own}" if other else own)
-        return " + ".join(parts)
+        monomials: list[str | None] = [None] * self.n_vars
+        for b in self.blocks:
+            vs = b.variables
+            # the variable each owner's monomial carries to the power 1: a
+            # chain entry's predecessor, a cycle entry's successor
+            if b.kind is BlockKind.CYCLE:
+                links: tuple = vs[1:] + vs[:1]
+            elif b.kind is BlockKind.CHAIN:
+                links = (None, *vs[:-1])
+            else:
+                links = (None,)
+            for v, e, link in zip(vs, b.exponents, links):
+                own = f"z{v}" if e == 1 else f"z{v}^{e}"
+                monomials[v] = own if link is None else f"z{link}*{own}"
+        return " + ".join([m for m in monomials if m is not None])
 
     def __str__(self) -> str:
         return self.render()

@@ -173,25 +173,32 @@ def iter_representations(ws: WeightSystem, *, transposable: bool = False) -> Ite
     exponent 1), which are all that can have a dual.  Each Block is built
     when the walk first reaches it."""
     n, (entries, slots) = ws.n_vars, _walk_order(ws)
-    built: list[Block | None] = [None] * slots
+    # a module-level recursion: a nested one would close over itself, and the
+    # cycle would keep its blocks alive until the cyclic collector ran
+    yield from _walk(n, entries, [None] * slots, transposable, (1 << n) - 1, -1, ())
 
-    def walk(rest: int, last: int, chosen: tuple[Block, ...]) -> Iterator[InvertiblePolynomial]:
-        if not rest:
-            poly = InvertiblePolynomial(n, chosen)
-            if poly.validate():
-                raise CrossCheckFailed(f"the option-table walk built {poly}, violating {poly.validate()}")
-            yield poly
-            return
-        for key, bit, reach, kind, groups in entries:
-            if key > last and rest & bit:
-                for mask, slot, vs, es in groups[transposable]:
-                    if mask & rest == mask and not (rest ^ mask) & ~reach:
-                        block = built[slot]
-                        if block is None:
-                            block = built[slot] = Block(kind, vs, es)
-                        yield from walk(rest ^ mask, key, chosen + (block,))
 
-    yield from walk((1 << n) - 1, -1, ())
+def _walk(
+    n: int, entries: list[tuple], built: list[Block | None], transposable: bool, rest: int, last: int,
+    chosen: tuple[Block, ...],
+) -> Iterator[InvertiblePolynomial]:
+    """The representations that cover the variables of ``rest`` with groups
+    of keys above ``last``, each after ``chosen``; ``built`` holds the Block
+    of each table slot once the walk has reached it."""
+    if not rest:
+        poly = InvertiblePolynomial(n, chosen)
+        if poly.validate():
+            raise CrossCheckFailed(f"the option-table walk built {poly}, violating {poly.validate()}")
+        yield poly
+        return
+    for key, bit, reach, kind, groups in entries:
+        if key > last and rest & bit:
+            for mask, slot, vs, es in groups[transposable]:
+                if mask & rest == mask and not (rest ^ mask) & ~reach:
+                    block = built[slot]
+                    if block is None:
+                        block = built[slot] = Block(kind, vs, es)
+                    yield from _walk(n, entries, built, transposable, rest ^ mask, key, chosen + (block,))
 
 
 def enumerate_representations(ws: WeightSystem) -> list[InvertiblePolynomial]:
@@ -218,37 +225,45 @@ def has_invertible_representation(ws: WeightSystem) -> bool:
     if not heads[order[0]] and not partners[order[0]]:
         return False
     # partner[v]: None while v is not placed, -1 for a head
-    partner: list[int | None] = [None] * n
-    exps = [0] * n
+    return _place(order, partners, heads, [None] * n, [0] * n, 0, 0)
 
-    def closes_degenerate_cycle(v: int) -> bool:
-        # the orbit of v's partner closes a cycle when it comes back to v
-        # before it meets a head or a variable not placed yet
-        cycle, k = [exps[v]], partner[v]
-        while k != v:
-            if partner[k] is None or partner[k] < 0:
-                return False
-            cycle.append(exps[k])
-            k = partner[k]
-        return _degenerate(cycle)
 
-    def place(i: int, picked: int) -> bool:
-        if i == n:
+def _place(
+    order: list[int], partners: list[dict[int, int]], heads: list[bool], partner: list[int | None],
+    exps: list[int], i: int, picked: int,
+) -> bool:
+    """Whether the partial map ``partner`` (with the exponent of each placed
+    variable in ``exps``) extends to a representation, placing ``order[i:]``
+    in turn; ``picked`` marks the variables already taken as partners.  A
+    module-level recursion, so no call leaves a reference cycle behind."""
+    if i == len(order):
+        return True
+    v = order[i]
+    if heads[v]:
+        partner[v] = -1
+        if _place(order, partners, heads, partner, exps, i + 1, picked):
             return True
-        v = order[i]
-        if heads[v]:
-            partner[v] = -1
-            if place(i + 1, picked):
+    for j, a in partners[v].items():
+        if not picked >> j & 1:
+            partner[v], exps[v] = j, a
+            if not _closes_degenerate_cycle(partner, exps, v) and _place(
+                order, partners, heads, partner, exps, i + 1, picked | 1 << j
+            ):
                 return True
-        for j, a in partners[v].items():
-            if not picked >> j & 1:
-                partner[v], exps[v] = j, a
-                if not closes_degenerate_cycle(v) and place(i + 1, picked | 1 << j):
-                    return True
-        partner[v] = None
-        return False
+    partner[v] = None
+    return False
 
-    return place(0, 0)
+
+def _closes_degenerate_cycle(partner: list[int | None], exps: list[int], v: int) -> bool:
+    """Whether v's new partner closes a degenerate cycle: its orbit comes
+    back to v before it meets a head or a variable not placed yet."""
+    cycle, k = [exps[v]], partner[v]
+    while k != v:
+        if partner[k] is None or partner[k] < 0:
+            return False
+        cycle.append(exps[k])
+        k = partner[k]
+    return _degenerate(cycle)
 
 
 def find_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:

@@ -11,6 +11,7 @@ profile, index and comparison reads primitive data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from operator import index
@@ -86,6 +87,12 @@ class WeightSystem:
         return sum(self.weights) - self.degree
 
     def reduced(self) -> ReducedWeights:
+        """The (u, v) pairs, computed once per system: the divisor and the
+        subset tables of one profile both read them."""
+        return self._reduced
+
+    @cached_property
+    def _reduced(self) -> ReducedWeights:
         us, vs = [], []
         for w in self.weights:
             g = gcd(self.degree, w)

@@ -13,6 +13,7 @@ Three brute-force models, deliberately disjoint from the package internals:
   linear order of a chain and every cyclic order of a cycle, and the batch
   dual search as a checked_dual on each of them in turn;
 * the weight solve as Gauss-Jordan elimination over Fraction;
+* a polynomial's text form read off its exponent matrix;
 * the split closed forms alpha and beta of a five-variable (m2, m3) split.
 """
 
@@ -260,6 +261,19 @@ def oracle_representations(ws: WeightSystem) -> list[InvertiblePolynomial]:
             if not poly.validate():
                 found.add(poly)
     return sorted(found, key=_key)
+
+
+def oracle_render(poly: InvertiblePolynomial) -> str:
+    """The text form read off the exponent matrix: row r is the monomial
+    owning z_r, its other nonzero entry (if any) written first."""
+    parts = []
+    for r, row in enumerate(poly.exponent_matrix()):
+        if not any(row):
+            continue
+        own = f"z{r}" if row[r] == 1 else f"z{r}^{row[r]}"
+        other = [c for c in range(poly.n_vars) if c != r and row[c]]
+        parts.append(f"z{other[0]}*{own}" if other else own)
+    return " + ".join(parts)
 
 
 def oracle_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:

@@ -1,8 +1,12 @@
 """Block decompositions, exponent matrices, transposition, validation."""
 
-import pytest
+import random
 
-from bhlink import InvertiblePolynomial, classify
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bhlink import InvertiblePolynomial, classify, enumerate_representations
 from bhlink.polynomial import (
     Block,
     BlockKind,
@@ -15,6 +19,9 @@ from bhlink.polynomial import (
     NOT_A_PARTITION,
     SINGULAR_MATRIX,
 )
+
+from generators import random_weight_system
+from oracles import oracle_render
 
 
 def chain_cycle_881():
@@ -228,9 +235,21 @@ def test_render_chain_cycle():
     assert str(chain_cycle_881()) == "z0^3 + z0*z1^2 + z4*z2^5 + z2*z3^22 + z3*z4^8"
 
 
-def test_matrix_roundtrip_and_involution_fuzz():
-    import random
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 8))
+def test_render_matches_the_matrix_oracle_on_generated_systems(seed, n):
+    # every representation of a generated system and its transpose, which
+    # holds every chain and cycle orientation and exponent-1 entries
+    rng = random.Random(seed)
+    got = None
+    while got is None:
+        got = random_weight_system(rng, n=n)
+    for poly in enumerate_representations(got[1]):
+        for form in (poly, poly.transpose()):
+            assert form.render() == str(form) == oracle_render(form)
 
+
+def test_matrix_roundtrip_and_involution_fuzz():
     from generators import random_invertible
 
     rng = random.Random(13)

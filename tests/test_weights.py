@@ -50,6 +50,15 @@ def test_reduced():
     assert red.v == (1, 1, 155, 33, 106)
 
 
+def test_reduced_once_per_system():
+    # the divisor and the subset tables of one profile read the same pairs
+    ws = WeightSystem((15, 35, 14, 7, 35), 105)
+    assert ws.reduced() is ws.reduced()
+    # the cached pairs take no part in equality, hashing or the repr
+    fresh = WeightSystem((15, 35, 14, 7, 35), 105)
+    assert (ws, hash(ws), repr(ws)) == (fresh, hash(fresh), repr(fresh))
+
+
 def test_reduce_recombine_roundtrip():
     ws = WeightSystem((15, 35, 14, 7, 35), 105)
     red = ws.reduced()
