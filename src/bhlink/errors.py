@@ -77,7 +77,8 @@ class CrossCheckFailed(BhlinkError):
 
 
 class PreconditionFailed(BhlinkError):
-    """A closed-form shortcut was invoked outside its hypotheses."""
+    """A construction was invoked outside its hypotheses: a closed-form
+    shortcut, or the link profile of data that gives a negative b3."""
 
 
 class NoRepresentation(BhlinkError):

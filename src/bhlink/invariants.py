@@ -23,7 +23,7 @@ of the u_i outside S.  The Betti number is one sum of all the terms.  A
 k-number is the parity-filtered inclusion-exclusion sum over the submasks
 of S, and only a subset with c > 1 can enter the torsion, so the recursion
 sums the submasks of those subsets alone; the torsion worksheet keeps c
-and computes its full D * k array and r on first read.  The torsion is
+and the terms, and computes r on first read.  The torsion is
 returned as runs: the subsets with c > 1 are grouped by floor(k), and each
 gap between consecutive floors is one factor with its multiplicity, so no
 sequence with one entry per copy is ever built.  The cost is 2^(n+1) terms
@@ -114,13 +114,12 @@ class TorsionWorksheet:
 
     Bit i of a mask stands for index i.  ``c`` values are positive integers,
     in closed form (see :func:`_subset_table`); ``terms`` holds the signed
-    terms (-1)^(n+1-|T|) D f(T) and ``scale`` is D.  ``scaled_k`` holds
-    ``scale * k``, so k(S) = scaled_k[S] / scale exactly; k is 0 on the
-    subsets of parity weight 0.  ``r`` = floor(max k).  The torsion runs
-    need k only where c > 1, so ``scaled_k`` (a submask sum for every mask
-    of parity weight 1) and ``r`` are computed on first read.  The full
-    index set has no complement gcd; its parity weight is 0 so it never
-    enters any d_j, and its c is recorded as 1.
+    terms (-1)^(n+1-|T|) D f(T) and ``scale`` is D.  On a subset S of
+    parity weight 1, D k(S) is ``_inclusion_exclusion(terms, n + 1, S)``;
+    k is 0 on the others.  ``r`` = floor(max k), computed on first read:
+    the torsion runs need k only where c > 1.  The full index set has no
+    complement gcd; its parity weight is 0 so it never enters any d_j, and
+    its c is recorded as 1.
     """
 
     c: tuple[int, ...]
@@ -128,16 +127,12 @@ class TorsionWorksheet:
     scale: int
 
     @cached_property
-    def scaled_k(self) -> tuple[int, ...]:
+    def r(self) -> int:
         n1 = len(self.terms).bit_length() - 1
-        return tuple(
+        return max(
             _inclusion_exclusion(self.terms, n1, mask) if (n1 - mask.bit_count()) & 1 else 0
             for mask in range(len(self.terms))
-        )
-
-    @cached_property
-    def r(self) -> int:
-        return max(self.scaled_k) // self.scale
+        ) // self.scale
 
 
 class DiffeoType(str, Enum):
@@ -315,7 +310,9 @@ def homology_profile(ws: WeightSystem) -> HomologyProfile:
     the product of the torsion coefficients equals |Delta(1)|.  When every
     gcd(d, w_i) = 1 each u_i is d, so the divisor is s L_1 + x L_d with
     s = (-1)^(n+1), and mu - s = d (b - s): mu + 1 = d (b + 1) for an odd
-    number of variables, mu - 1 = d (b - 1) for an even one.  Inside a
+    number of variables, mu - 1 = d (b - 1) for an even one.  A negative
+    Betti number raises :class:`PreconditionFailed`: no quasismooth
+    hypersurface has that link, so its profile means nothing.  Inside a
     :func:`_profile_memo` scope a system whose sorted weights and degree
     were already profiled is not computed again; a failure is never
     memoized, so its error names the system in its own order.
@@ -341,6 +338,9 @@ def _computed_profile(ws: WeightSystem) -> HomologyProfile:
         raise CrossCheckFailed(
             f"betti mismatch for {ws}: divisor route {b}, subset route {b_direct}"
         )
+    if b < 0:
+        # the link of a quasismooth hypersurface has b3 >= 0
+        raise PreconditionFailed(f"b3 = {b} < 0: {ws} is not the link of a quasismooth hypersurface")
     mu = milnor_number(ws)
     if mu != divisor.root_count():
         raise CrossCheckFailed(

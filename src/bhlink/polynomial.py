@@ -29,9 +29,6 @@ __all__ = [
     "classify",
 ]
 
-Matrix = list[list[int]]
-
-
 class BlockKind(str, Enum):
     FERMAT = "fermat"
     CHAIN = "chain"
@@ -160,25 +157,6 @@ class InvertiblePolynomial:
                 violations.append(SINGULAR_MATRIX)
         return violations
 
-    def exponent_matrix(self) -> Matrix:
-        """The n x n exponent matrix, row i = monomial owning variable i."""
-        n = self.n_vars
-        m = [[0] * n for _ in range(n)]
-        for b in self.blocks:
-            vs, es = b.variables, b.exponents
-            if b.kind is BlockKind.FERMAT:
-                m[vs[0]][vs[0]] = es[0]
-            elif b.kind is BlockKind.CHAIN:
-                m[vs[0]][vs[0]] = es[0]
-                for k in range(1, len(vs)):
-                    m[vs[k]][vs[k]] = es[k]
-                    m[vs[k]][vs[k - 1]] = 1
-            else:
-                for k, v in enumerate(vs):
-                    m[v][v] = es[k]
-                    m[v][vs[(k + 1) % len(vs)]] += 1
-        return m
-
     def transpose(self) -> InvertiblePolynomial:
         """The polynomial of the transposed exponent matrix (an involution).
 
@@ -188,19 +166,12 @@ class InvertiblePolynomial:
         blocks = (Block(b.kind, b.variables[::-1], b.exponents[::-1]) for b in self.blocks)
         return InvertiblePolynomial(self.n_vars, tuple(blocks))
 
-    def exponent_of(self, variable: int) -> int:
-        """The block exponent carried by one variable (its diagonal entry)."""
-        for b in self.blocks:
-            if variable in b.variables:
-                return b.exponents[b.variables.index(variable)]
-        raise ValueError(f"variable {variable} not in any block")
-
     def render(self) -> str:
         """Text form in standard notation, e.g. ``z0^3 + z0*z1^2 + z4*z2^5``.
 
         Monomials appear in owner-variable order; in two-variable monomials
         the exponent-1 variable is written first.  Each monomial is read from
-        its block, without building :meth:`exponent_matrix`.
+        its block.
         """
         monomials: list[str | None] = [None] * self.n_vars
         for b in self.blocks:

@@ -202,7 +202,7 @@ def _walk(
 
 
 def enumerate_representations(ws: WeightSystem) -> list[InvertiblePolynomial]:
-    """All invertible polynomials P with exponent_matrix(P) . w = d . 1, in
+    """All invertible polynomials whose exponent matrix A has A . w = d . 1, in
     canonical order and without duplicates.  An empty list is a valid
     answer."""
     return list(iter_representations(ws))

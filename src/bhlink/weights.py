@@ -100,16 +100,10 @@ class WeightSystem:
             vs.append(w // g)
         return ReducedWeights(tuple(us), tuple(vs))
 
-    def is_wellformed_space(self) -> bool:
-        return wellformed_space(self.weights)
-
-    def is_wellformed_hypersurface(self) -> bool:
-        """Well-formed ambient space and every codimension-2 gcd divides d."""
-        return self.wellformedness()[1]
-
     def wellformedness(self) -> tuple[bool, bool]:
-        """(:meth:`is_wellformed_space`, :meth:`is_wellformed_hypersurface`),
-        with the space check run once."""
+        """(well-formed ambient space, well-formed hypersurface); the
+        hypersurface is well-formed when the space is and every
+        codimension-2 gcd divides d."""
         space = wellformed_space(self.weights)
         rests = combinations(self.weights, len(self.weights) - 2)
         return space, space and all(self.degree % gcd(*rest) == 0 for rest in rests)

@@ -13,7 +13,8 @@ Three brute-force models, deliberately disjoint from the package internals:
   linear order of a chain and every cyclic order of a cycle, and the batch
   dual search as a checked_dual on each of them in turn;
 * the weight solve as Gauss-Jordan elimination over Fraction;
-* a polynomial's text form read off its exponent matrix;
+* a polynomial's exponent matrix built from its blocks, and its text form
+  read off that matrix;
 * the split closed forms alpha and beta of a five-variable (m2, m3) split.
 """
 
@@ -263,11 +264,42 @@ def oracle_representations(ws: WeightSystem) -> list[InvertiblePolynomial]:
     return sorted(found, key=_key)
 
 
+Matrix = list[list[int]]
+
+
+def exponent_matrix(poly: InvertiblePolynomial) -> Matrix:
+    """The n x n exponent matrix, row i = monomial owning variable i."""
+    n = poly.n_vars
+    m = [[0] * n for _ in range(n)]
+    for b in poly.blocks:
+        vs, es = b.variables, b.exponents
+        if b.kind is BlockKind.FERMAT:
+            m[vs[0]][vs[0]] = es[0]
+        elif b.kind is BlockKind.CHAIN:
+            m[vs[0]][vs[0]] = es[0]
+            for k in range(1, len(vs)):
+                m[vs[k]][vs[k]] = es[k]
+                m[vs[k]][vs[k - 1]] = 1
+        else:
+            for k, v in enumerate(vs):
+                m[v][v] = es[k]
+                m[v][vs[(k + 1) % len(vs)]] += 1
+    return m
+
+
+def exponent_of(poly: InvertiblePolynomial, variable: int) -> int:
+    """The block exponent carried by one variable (its diagonal entry)."""
+    for b in poly.blocks:
+        if variable in b.variables:
+            return b.exponents[b.variables.index(variable)]
+    raise ValueError(f"variable {variable} not in any block")
+
+
 def oracle_render(poly: InvertiblePolynomial) -> str:
     """The text form read off the exponent matrix: row r is the monomial
     owning z_r, its other nonzero entry (if any) written first."""
     parts = []
-    for r, row in enumerate(poly.exponent_matrix()):
+    for r, row in enumerate(exponent_matrix(poly)):
         if not any(row):
             continue
         own = f"z{r}" if row[r] == 1 else f"z{r}^{row[r]}"
@@ -287,7 +319,7 @@ def oracle_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
     candidates = [poly for poly in polys if not poly.validate()]
     if not candidates:
         raise NoRepresentation(f"no chain-cycle representation for {ws}")
-    return min(candidates, key=lambda p: tuple(p.exponent_of(i) for i in range(5)))
+    return min(candidates, key=lambda p: tuple(exponent_of(p, i) for i in range(5)))
 
 
 def oracle_batch_dual(ws: WeightSystem) -> DualReport | None:
@@ -316,7 +348,7 @@ def oracle_solve_weights(poly: InvertiblePolynomial) -> WeightSystem:
     """Gauss-Jordan elimination of [A | 1] over Fraction, denominators
     cleared, weights and degree divided by their joint gcd."""
     n = poly.n_vars
-    rows = [[Fraction(x) for x in row] + [Fraction(1)] for row in poly.exponent_matrix()]
+    rows = [[Fraction(x) for x in row] + [Fraction(1)] for row in exponent_matrix(poly)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if pivot is None:

@@ -33,6 +33,7 @@ from bhlink.invariants import DiffeoType, branched_cover
 from bhlink.polynomial import BlockKind
 
 from generators import random_weight_system, theorem_population
+from oracles import exponent_of
 
 CYCLE_LABELS = ("Cycle", "BP-Cycle", "Cycle-Cycle")
 
@@ -141,21 +142,20 @@ def test_criterion_3_twin_preservation():
 def test_criterion_4_wellformedness_preservation():
     checked = 0
     for poly, ws in twin_population():
-        if not ws.is_wellformed_hypersurface():
+        if not ws.wellformedness()[1]:
             continue
         _, dual_ws = bh_dual(poly)
-        assert dual_ws.is_wellformed_hypersurface(), (ws, str(poly))
+        assert dual_ws.wellformedness()[1], (ws, str(poly))
         checked += 1
     assert checked >= 1000
 
     # chain-cycle duality may leave well-formedness behind
     ws = WeightSystem((881, 881, 465, 99, 318), 2643)
-    assert ws.is_wellformed_hypersurface()
+    assert ws.wellformedness() == (True, True)
     _, dual_ws = bh_dual(find_chain_cycle(ws))
     assert sorted(dual_ws.weights) == sorted((881, 2643, 1014, 216, 534))
     assert dual_ws.degree == 5286
-    assert not dual_ws.is_wellformed_hypersurface()
-    assert not dual_ws.is_wellformed_space()
+    assert dual_ws.wellformedness() == (False, False)
     print(f"\nPASS criterion 4: well-formedness preserved on {checked} instances")
 
 
@@ -209,7 +209,7 @@ def test_criterion_6_closed_forms():
         assert prediction.torsion == profile.torsion
 
         tail = chain.variables[1] if split.v[chain.variables[0]] == 1 else chain.variables[0]
-        g = gcd(poly.exponent_of(tail), split.m3)
+        g = gcd(exponent_of(poly, tail), split.m3)
         trichotomy.add(1 if g == 1 else 2 if g == 2 else 3)
     assert trichotomy == {1, 2, 3}
     # the three torsion shapes are all exercised, e.g. Z_3315 + Z_51^3

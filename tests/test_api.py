@@ -1,6 +1,9 @@
 """The package's public surface, pinned so that any growth shows as a diff."""
 
+from dataclasses import fields
 from types import ModuleType
+
+import pytest
 
 import bhlink
 
@@ -39,6 +42,26 @@ def test_divisor_members_are_pinned():
     assert members == {"terms", "coefficient_sum", "root_count", "delta_order_at_one", "delta_eval"}
     for operator in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__"):
         assert not hasattr(bhlink.CyclotomicDivisor, operator)
+
+
+VALUE_MEMBERS = {
+    "InvertiblePolynomial": {"n_vars", "blocks", "validate", "transpose", "render"},
+    "WeightSystem": {
+        "weights", "degree", "n_vars", "fano_index", "reduced", "wellformedness", "split",
+    },
+    # perfbench reads r by name
+    "TorsionWorksheet": {"c", "terms", "scale", "r"},
+    "Block": {"kind", "variables", "exponents", "determinant"},
+    "HomologyProfile": {"b3", "torsion", "mu", "degree", "torsion_order", "torsion_str"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_MEMBERS))
+def test_value_class_members_are_pinned(name):
+    # fields and public methods: a new member needs an edit here
+    cls = getattr(bhlink, name)
+    members = {member for member in dir(cls) if not member.startswith("_")}
+    assert members | {field.name for field in fields(cls)} == VALUE_MEMBERS[name]
 
 
 def test_chain_cycle_search_takes_no_grouping():

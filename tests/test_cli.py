@@ -121,7 +121,9 @@ def test_pipeline_text(capsys):
     assert "Chain-Cycle" in out
     assert "19509" in out
     assert "Z_929" in out
-    # valid link data whose degree matches no invertible-polynomial shape
+    # weight data that matches no invertible polynomial: not quasismooth (every
+    # degree-7 monomial has degree >= 3 in z0..z3, so the hypersurface is
+    # singular at the z4 vertex); this pins what the formula prints for it
     code, out = run(capsys, "pipeline", "-w", "1,1,1,1,4", "-d", "7")
     assert (code, out) == (0, "no invertible representation matches (1, 1, 1, 1, 4; d=7)\n")
     # the first representation's dual has a non-positive weight
@@ -262,7 +264,9 @@ def test_batch_ke_status_passthrough_and_jobs_determinism(tmp_path, capsys):
 def test_batch_no_representation_row(tmp_path, capsys):
     src = tmp_path / "in.csv"
     dst = tmp_path / "out.csv"
-    # valid link data whose degree matches no invertible-polynomial shape
+    # weight data that matches no invertible polynomial and is not
+    # quasismooth (singular at the z4 vertex): this pins what the formula
+    # prints for it, not the homology of a link
     src.write_text("w0,w1,w2,w3,w4,d\n1,1,1,1,4,7\n")
     assert main(["batch", str(src), str(dst)]) == 0
     capsys.readouterr()
@@ -416,7 +420,9 @@ def test_batch_overwrites_output_columns_in_the_input(tmp_path, capsys):
     src.write_text(
         "w0,w1,w2,w3,w4,d,ke_status,error,dual_w\n"
         "73,73,95,45,80,365,KE,stale error,stale\n"
-        "1,1,1,1,4,7,,,9 9 9 9 9\n"  # no invertible representation
+        # matches no invertible polynomial (and is not quasismooth): the
+        # formula's numbers, no dual and no error
+        "1,1,1,1,4,7,,,9 9 9 9 9\n"
     )
     assert main(["batch", str(src), str(dst)]) == 0
     assert "(0 with errors)" in capsys.readouterr().out
@@ -425,6 +431,23 @@ def test_batch_overwrites_output_columns_in_the_input(tmp_path, capsys):
     assert dual["ke_status"] == "KE" and dual["error"] == ""
     assert sorted(map(int, dual["dual_w"].split())) == sorted(ROWS[0].dual)
     assert none["n_reps"] == "0" and none["dual_w"] == "" and none["error"] == ""
+
+
+def test_negative_betti_number_is_refused(tmp_path, capsys):
+    # b3 = -20: no quasismooth hypersurface has this link, so there is no
+    # profile to print
+    message = "b3 = -20 < 0: (7, 7, 7, 7, 8; d=35) is not the link of a quasismooth hypersurface"
+    for command in ("analyze", "pipeline"):
+        assert main([command, "-w", "7,7,7,7,8", "-d", "35"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("w0,w1,w2,w3,w4,d\n7,7,7,7,8,35\n")
+    assert main(["batch", str(src), str(dst)]) == 0
+    assert "(1 with errors)" in capsys.readouterr().out
+    with dst.open(newline="") as handle:
+        (record,) = csv.DictReader(handle)
+    assert record["b3"] == ""
+    assert record["error"] == f"PreconditionFailed: {message}"
 
 
 def test_pipeline_over_budget_exit_2(capsys):

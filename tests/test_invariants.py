@@ -80,11 +80,11 @@ def test_orlik_worksheet_structure():
     ws = WeightSystem((576, 1399, 82, 256, 576), 2880)
     sheet, torsion = orlik_torsion(ws)
     # indexed by bitmask: 2^5 subsets, the empty one first
-    assert len(sheet.c) == len(sheet.scaled_k) == 32
+    assert len(sheet.c) == len(sheet.terms) == 32
     assert sheet.c[0] == gcd(*ws.reduced().u)
     assert all(value >= 1 for value in sheet.c)
-    assert all(type(value) is int for value in sheet.c + sheet.scaled_k + (sheet.scale, sheet.r))
-    assert sheet.r == 4 == max(sheet.scaled_k) // sheet.scale
+    assert all(type(value) is int for value in sheet.c + sheet.terms + (sheet.scale, sheet.r))
+    assert sheet.r == 4
     assert torsion == ((90, 1), (18, 3))
     # runs: factors strictly decrease and divide their predecessor, and each
     # multiplicity is at least 1

@@ -41,9 +41,19 @@ def by_mask(values):
     return out
 
 
+def scaled_k(sheet):
+    """D * k of every mask: the inclusion-exclusion sum on the masks of
+    parity weight 1, 0 on the others."""
+    n1 = len(sheet.terms).bit_length() - 1
+    return [
+        invariants._inclusion_exclusion(sheet.terms, n1, mask) if (n1 - mask.bit_count()) & 1 else 0
+        for mask in range(len(sheet.terms))
+    ]
+
+
 def package_torsion(ws):
     sheet, torsion = orlik_torsion(ws)
-    k = [Fraction(scaled, sheet.scale) for scaled in sheet.scaled_k]
+    k = [Fraction(scaled, sheet.scale) for scaled in scaled_k(sheet)]
     return list(sheet.c), k, sheet.r, torsion
 
 
@@ -121,7 +131,7 @@ def generated_systems(draw):
 def runs_from_worksheet(sheet):
     """d_j = product of the c > 1 with floor(k) >= j, read at each distinct
     floor: the run ending there has that product and the gap as its length."""
-    floors = [(value, k // sheet.scale) for value, k in zip(sheet.c, sheet.scaled_k) if value > 1]
+    floors = [(value, k // sheet.scale) for value, k in zip(sheet.c, scaled_k(sheet)) if value > 1]
     levels = sorted({level for _, level in floors if level >= 1})
     return tuple(
         (prod(value for value, floor in floors if floor >= level), level - previous)
@@ -142,8 +152,8 @@ def test_torsion_runs_match_their_own_worksheet(ws):
 
 
 def test_the_profile_computes_no_full_k_array(monkeypatch):
-    # the profile reads k only where c > 1; the worksheet's full k array and
-    # r are computed on first read, which the profile never makes
+    # the profile reads k only where c > 1; the worksheet's r, which reads k
+    # at every mask, is computed on first read, which the profile never makes
     sheets = []
     real = invariants.orlik_torsion
 
@@ -156,6 +166,6 @@ def test_the_profile_computes_no_full_k_array(monkeypatch):
     profile = homology_profile(WeightSystem((576, 1399, 82, 256, 576), 2880))
     assert profile.torsion == ((90, 1), (18, 3))
     (sheet,) = sheets
-    assert "scaled_k" not in vars(sheet) and "r" not in vars(sheet)
+    assert "r" not in vars(sheet)
     assert sheet.r == 4
-    assert "scaled_k" in vars(sheet)
+    assert "r" in vars(sheet)
