@@ -37,8 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from math import gcd, prod
+from math import gcd
 
 from .errors import BhlinkError, CrossCheckFailed, NoSplit, PreconditionFailed
 from .invariants import HomologyProfile, _profile_memo, homology_profile
@@ -84,8 +83,9 @@ def se_certificate(ws: WeightSystem) -> SasakiVerdict:
     n = ws.n_vars - 1
     if n < 2:
         raise PreconditionFailed(f"the index inequality needs at least three variables: {ws}")
-    min_pair = min(a * b for a, b in combinations(ws.weights, 2))
-    holds = (n - 1) * index * ws.degree < n * min_pair
+    # the weights are positive, so the smallest pairwise product is that of the two smallest
+    low = sorted(ws.weights)
+    holds = (n - 1) * index * ws.degree < n * low[0] * low[1]
     if index <= 0:
         return SasakiVerdict(False, holds, Verdict.NOT_FANO)
     if holds:
@@ -129,16 +129,26 @@ def chain_cycle_closed_forms(poly: InvertiblePolynomial, ws: WeightSystem) -> Cl
     refuses a ``ws`` that ``poly`` does not represent.  Each other failure
     raises :class:`PreconditionFailed`.
     """
-    if [(b.kind, len(b.variables)) for b in poly.blocks] != [(BlockKind.CHAIN, 2), (BlockKind.CYCLE, 3)]:
+    blocks = poly.blocks
+    if not (
+        len(blocks) == 2
+        and blocks[0].kind is BlockKind.CHAIN
+        and len(blocks[0].variables) == 2
+        and blocks[1].kind is BlockKind.CYCLE
+        and len(blocks[1].variables) == 3
+    ):
         raise PreconditionFailed("not a 2-chain plus 3-cycle")
-    chain, cycle = poly.blocks
+    chain, cycle = blocks
     split = ws.split((chain.variables, tuple(sorted(cycle.variables))))
     m2, m3, d, v = split.m2, split.m3, split.degree, split.v
     (head, tail), (a_head, a1) = chain.variables, chain.exponents
-    # cyc[k - 2] succeeds cyc[k] in the cycle, and cyc[k - 1] succeeds that
+    # the cycle is x_c0^e0 x_c1 + x_c1^e1 x_c2 + x_c2^e2 x_c0
     cyc, exps = cycle.variables, cycle.exponents
+    c0, c1, c2 = cyc
+    e0, e1, e2 = exps
+    x0, x1, x2 = v[c0], v[c1], v[c2]
 
-    weight_sum = m3 * (v[head] + v[tail]) + m2 * sum(v[i] for i in cyc)
+    weight_sum = m3 * (v[head] + v[tail]) + m2 * (x0 + x1 + x2)
     if weight_sum != d + 1:
         raise PreconditionFailed(f"closed forms need index one: weight sum {weight_sum} != d + 1 = {d + 1}")
     if v[head] != 1 or a_head != m2:
@@ -148,18 +158,20 @@ def chain_cycle_closed_forms(poly: InvertiblePolynomial, ws: WeightSystem) -> Cl
     v1 = v[tail]
     if v1 * a1 != m2 - 1:
         raise PreconditionFailed(f"tail exponent {a1} != (m2 - 1)/v1 = ({m2} - 1)/{v1}")
-    if prod(exps) + 1 != m3:
+    if e0 * e1 * e2 + 1 != m3:
         by_variable = tuple(e for _, e in sorted(zip(cyc, exps)))
         raise PreconditionFailed(f"cycle exponents {by_variable} do not satisfy prod + 1 = m3 = {m3}")
-    if any(exps[k] * v[cyc[k]] + v[cyc[k - 2]] != m3 for k in range(3)):
+    if e0 * x0 + x1 != m3 or e1 * x1 + x2 != m3 or e2 * x2 + x0 != m3:
         raise PreconditionFailed(f"cycle {cyc} with exponents {exps} fails e_k v_k + v_(k+1) = m3 = {m3}")
 
     raw_degree = d * (m2 - 1)
     raw = [0] * 5
     raw[head] = m3 * v1 * (a1 - 1)
     raw[tail] = m3 * m2 * v1
-    for k in range(3):
-        raw[cyc[k]] = m2 * (m2 - 1) * (1 - exps[k - 2] + exps[k - 2] * exps[k - 1])
+    scale = m2 * (m2 - 1)
+    raw[c0] = scale * (1 - e1 + e1 * e2)
+    raw[c1] = scale * (1 - e2 + e2 * e0)
+    raw[c2] = scale * (1 - e0 + e0 * e1)
 
     joint = gcd(raw_degree, *raw)
     weights = tuple(x // joint for x in raw)

@@ -51,7 +51,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from enum import Enum
@@ -163,8 +162,9 @@ def milnor_number(ws: WeightSystem) -> int:
         denominator *= w
     value, remainder = divmod(numerator, denominator)
     if remainder:
+        g = gcd(numerator, denominator)
         raise NonIntegralMilnor(
-            f"Milnor product {Fraction(numerator, denominator)} is not an integer for {ws}"
+            f"Milnor product {numerator // g}/{denominator // g} is not an integer for {ws}"
         )
     return value
 
@@ -200,9 +200,11 @@ def _subset_table(ws: WeightSystem) -> tuple[tuple[int, ...], int, tuple[int, ..
         gcd_u += [gcd(g, ui) for g in gcd_u]
     lcm_all = lcm_u[-1]
     terms = tuple([m * (lcm_all // l) for m, l in zip(signed, lcm_u)])
-    # the gcd outside S is gcd_u[full ^ S], read in reverse; g = 0 only for the full set
-    c = tuple([g // gcd(g, l) if g > 1 else 1 for g, l in zip(reversed(gcd_u), lcm_u)])
-    return terms, prod_v * lcm_all, c
+    # the gcd outside S is gcd_u[full ^ S], read in reverse; g = 1 gives c = 1,
+    # and g = 0 only for the full set, whose c is set to 1 after the pass
+    c = [g // gcd(g, l) for g, l in zip(reversed(gcd_u), lcm_u)]
+    c[-1] = 1
+    return terms, prod_v * lcm_all, tuple(c)
 
 
 def _inclusion_exclusion(terms: tuple[int, ...], n1: int, mask: int) -> int:
@@ -229,10 +231,19 @@ def betti_subset_sum(ws: WeightSystem) -> int:
     numerator = sum(terms)
     total, remainder = divmod(numerator, denominator)
     if remainder:
+        # D > 0, so the reduced fraction carries its sign on the numerator
+        g = gcd(numerator, denominator)
         raise NonIntegralMilnor(
-            f"Betti subset sum {Fraction(numerator, denominator)} is not an integer for {ws}"
+            f"Betti subset sum {numerator // g}/{denominator // g} is not an integer for {ws}"
         )
     return total
+
+
+@lru_cache(maxsize=None)
+def _odd_masks(n1: int) -> tuple[int, ...]:
+    """The subsets S of n1 indices of parity weight 1, n1 - |S| odd: the
+    only ones whose k can be nonzero."""
+    return tuple(mask for mask in range(1 << n1) if (n1 - mask.bit_count()) & 1)
 
 
 def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[tuple[int, int], ...]]:
@@ -258,9 +269,9 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[tuple[int, 
     terms, scale, c = _subset_table(ws)
     n1 = ws.n_vars
     by_floor: dict[int, int] = {}  # floor(k) -> product of the c > 1 with that floor
-    for mask, c_mask in enumerate(c):
-        # the parity weight of S is 1 when n1 - |S| is odd and 0 otherwise
-        if c_mask > 1 and (n1 - mask.bit_count()) & 1:
+    for mask in _odd_masks(n1):
+        c_mask = c[mask]
+        if c_mask > 1:
             k_mask = _inclusion_exclusion(terms, n1, mask)
             if k_mask >= scale:
                 level = k_mask // scale

@@ -162,8 +162,17 @@ class InvertiblePolynomial:
 
         Block by block: chains and cycles reverse their variable order, each
         exponent staying on its variable; a Fermat block reversed is itself.
+        A cycle reversed as ``vs[:1] + vs[:0:-1]`` still starts at its
+        smallest variable, so its Block has nothing to rotate.
         """
-        blocks = (Block(b.kind, b.variables[::-1], b.exponents[::-1]) for b in self.blocks)
+        blocks = []
+        for b in self.blocks:
+            vs, es = b.variables, b.exponents
+            if b.kind is BlockKind.CYCLE:
+                b = Block(BlockKind.CYCLE, vs[:1] + vs[:0:-1], es[:1] + es[:0:-1])
+            elif b.kind is BlockKind.CHAIN:
+                b = Block(BlockKind.CHAIN, vs[::-1], es[::-1])
+            blocks.append(b)
         return InvertiblePolynomial(self.n_vars, tuple(blocks))
 
     def render(self) -> str:

@@ -52,24 +52,33 @@ _KINDS = (BlockKind.FERMAT, BlockKind.CHAIN, BlockKind.CYCLE)
 
 
 @lru_cache(maxsize=1)
-def _partners(ws: WeightSystem) -> tuple[list[dict[int, int]], list[dict[int, int]], list[bool]]:
+def _partners(ws: WeightSystem) -> tuple[list[dict[int, int]], list[int]]:
     """The monomials each variable may own.  ``partners[v][j]`` is the
     exponent a of x_v^a x_j, (d - w_j) / w_v, for each j != v where that is
-    a positive integer, and ``steps[j][v]`` is the same exponent, keyed the
-    other way for walks that go from a partner to the variables that may
-    pick it; ``heads[v]`` says whether x_v^a alone can have degree d:
-    d / w_v is an integer >= 2.  Cached for the last system, so the table
-    and the chain-cycle pick of one batch row share it."""
+    a positive integer; ``heads[v]`` is the exponent of x_v^a alone, d / w_v
+    where that is an integer >= 2, and 0 where v cannot be a head.  Cached
+    for the last system, so the table and the chain-cycle pick of one batch
+    row share it."""
     d, w = ws.degree, ws.weights
     rests = [d - x for x in w]
     partners: list[dict[int, int]] = [{} for _ in w]
-    steps: list[dict[int, int]] = [{} for _ in w]
     # loops, not comprehensions, which cost a call each before Python 3.12
     for v, x in enumerate(w):
+        row = partners[v]
         for j, r in enumerate(rests):
             if r % x == 0 and r > 0 and j != v:
-                partners[v][j] = steps[j][v] = r // x
-    return partners, steps, [d % x == 0 and d >= 2 * x for x in w]
+                row[j] = r // x
+    return partners, [d // x if d % x == 0 and d >= 2 * x else 0 for x in w]
+
+
+def _pickers(partners: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The partner map inverted: ``pickers[j][v]`` is ``partners[v][j]``, for
+    walks that go from a partner to the variables that may pick it."""
+    pickers: list[dict[int, int]] = [{} for _ in partners]
+    for v, row in enumerate(partners):
+        for j, a in row.items():
+            pickers[j][v] = a
+    return pickers
 
 
 def _degenerate(cycle: tuple[int, ...] | list[int]) -> bool:
@@ -85,36 +94,39 @@ def _option_table(ws: WeightSystem) -> tuple[dict[int, list[tuple]], int]:
     mask) of each block under its key rank * n + first variable and counts
     the blocks of each cell by its variable bitmask; the count is a subset
     sum over those cell counts, so it builds no block."""
-    n, d, w = ws.n_vars, ws.degree, ws.weights
+    n = ws.n_vars
     groups: dict[int, list[tuple]] = {}
     cells: dict[int, int] = {}
-    partners, steps, heads = _partners(ws)
+    partners, heads = _partners(ws)
+    pickers = _pickers(partners)
 
-    def add(key: int, variables: tuple[int, ...], exponents: tuple[int, ...], mask: int) -> None:
-        groups.setdefault(key, []).append((variables, exponents, mask))
-        cells[mask] = cells.get(mask, 0) + 1
-
-    # a path, its bitmask, and the head's d / w followed by the exponents
-    # (d - w_prev) / w_cur along the path: a path of a Fermat head, as it
-    # stands, is a chain
+    # a path of at least two variables, its bitmask, and the head's exponent
+    # followed by the exponents (d - w_prev) / w_cur along the path: a path
+    # from a head, as it stands, is a chain.  A path from a variable that
+    # heads no chain visits only larger ones: it can only close into a cycle
+    # pinned at that variable
     paths = []
-    for v, x in enumerate(w):
-        if heads[v]:
-            add(v, (v,), (d // x,), 1 << v)
-        paths.append(((v,), 1 << v, (d // x,)))
+    for v, a in enumerate(heads):
+        if a:
+            groups[v] = [((v,), (a,), 1 << v)]
+            cells[1 << v] = 1
+        for nxt, exp in pickers[v].items():
+            if a or nxt > v:
+                paths.append(((v, nxt), 1 << v | 1 << nxt, (a, exp)))
     while paths:
         path, mask, exps = paths.pop()
         head, last = path[0], path[-1]
-        if len(path) > 1:
-            if heads[head]:
-                add(n + head, path, exps, mask)
-            # read backwards from the head, a path that closes is a cycle; one
-            # that passed a variable below the head is pinned at that one instead
-            if last in partners[head] and mask & -mask == 1 << head:
-                cycle = (partners[head][last], *exps[:0:-1])
-                if not _degenerate(cycle):
-                    add(2 * n + head, path[:1] + path[:0:-1], cycle, mask)
-        for nxt, exp in steps[last].items():
+        if heads[head]:
+            groups.setdefault(n + head, []).append((path, exps, mask))
+            cells[mask] = cells.get(mask, 0) + 1
+        # read backwards from the head, a path that closes is a cycle; one
+        # that passed a variable below the head is pinned at that one instead
+        if last in partners[head] and mask & -mask == 1 << head:
+            cycle = (partners[head][last], *exps[:0:-1])
+            if not _degenerate(cycle):
+                groups.setdefault(2 * n + head, []).append((path[:1] + path[:0:-1], cycle, mask))
+                cells[mask] = cells.get(mask, 0) + 1
+        for nxt, exp in pickers[last].items():
             if not mask >> nxt & 1 and (heads[head] or nxt > head):
                 paths.append((path + (nxt,), mask | 1 << nxt, exps + (exp,)))
 
@@ -152,16 +164,21 @@ def _walk_order(ws: WeightSystem) -> tuple[list[tuple], int]:
     entries, above, slots = [], 0, 0
     for k in sorted(groups, reverse=True):
         kind = _KINDS[k // n]
-        group = [(mask, slot, vs, es) for slot, (vs, es, mask) in enumerate(sorted(groups[k]), slots)]
-        slots += len(group)
         # a chain ending in x^1 transposes to one headed by x^1, so the dual's
         # weight ray is w_head = d, then (d - w_head) / a = 0: checked_dual
         # raises NonPositiveWeights on every polynomial holding such a chain,
         # and a batch row passes over those, so skipping them changes nothing
-        dualizable = [entry for entry in group if entry[3][-1] > 1] if kind is BlockKind.CHAIN else group
+        chains = kind is BlockKind.CHAIN
+        group, dualizable, cover = [], [], 0
+        for vs, es, mask in sorted(groups[k]):
+            entry = (mask, slots, vs, es)
+            group.append(entry)
+            if es[-1] > 1 or not chains:
+                dualizable.append(entry)
+            cover |= mask
+            slots += 1
         entries.append((k, 1 << k % n, above, kind, (group, dualizable)))
-        for mask, *_ in group:
-            above |= mask
+        above |= cover
     # the canonical order compares kinds by value: chains, cycles, then Fermat (keys below n)
     entries.sort(key=lambda entry: (entry[0] < n, entry[0]))
     return entries, slots
@@ -218,10 +235,10 @@ def has_invertible_representation(ws: WeightSystem) -> bool:
     polynomial: degenerate data with hundreds of thousands of
     representations answers at its first one."""
     n = ws.n_vars
-    partners, _, heads = _partners(ws)
+    partners, heads = _partners(ws)
     # the variables with the fewest options go first, so a dead end shows
     # before the search branches on variables with many
-    order = sorted(range(n), key=lambda v: heads[v] + len(partners[v]))
+    order = sorted(range(n), key=lambda v: (heads[v] > 0) + len(partners[v]))
     if not heads[order[0]] and not partners[order[0]]:
         return False
     # partner[v]: None while v is not placed, -1 for a head
@@ -229,7 +246,7 @@ def has_invertible_representation(ws: WeightSystem) -> bool:
 
 
 def _place(
-    order: list[int], partners: list[dict[int, int]], heads: list[bool], partner: list[int | None],
+    order: list[int], partners: list[dict[int, int]], heads: list[int], partner: list[int | None],
     exps: list[int], i: int, picked: int,
 ) -> bool:
     """Whether the partial map ``partner`` (with the exponent of each placed
@@ -275,15 +292,14 @@ def find_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
     when no such polynomial matches."""
     if ws.n_vars != 5:
         raise NoRepresentation("chain-cycle search expects a five-variable system")
-    d, w = ws.degree, ws.weights
-    partners, _, heads = _partners(ws)
+    partners, heads = _partners(ws)
     # (per-variable exponents, variables, exponents) of each chain
     # x_h^a + x_h x_t^b, and of each cycle x_2^a x_s + x_s^b x_t + x_t^c x_2,
     # rotated to start at 2 as a Block stores it
     chains, cycles = [], []
     for h, t in ((0, 1), (1, 0)):
         if heads[h] and h in partners[t]:
-            a, b = d // w[h], partners[t][h]
+            a, b = heads[h], partners[t][h]
             chains.append(((a, b) if h == 0 else (b, a), (h, t), (a, b)))
     for s, t in ((3, 4), (4, 3)):
         if s in partners[2] and t in partners[s] and 2 in partners[t]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, starmap
 from math import gcd, lcm
 from operator import index
 
@@ -105,8 +105,9 @@ class WeightSystem:
         hypersurface is well-formed when the space is and every
         codimension-2 gcd divides d."""
         space = wellformed_space(self.weights)
-        rests = combinations(self.weights, len(self.weights) - 2)
-        return space, space and all(self.degree % gcd(*rest) == 0 for rest in rests)
+        # the gcd of every n - 1 of the n + 1 weights divides d
+        rests = starmap(gcd, combinations(self.weights, len(self.weights) - 2))
+        return space, space and not any(map(self.degree.__mod__, rests))
 
     def split(
         self,
@@ -148,7 +149,7 @@ class WeightSystem:
 
 def wellformed_space(weights: tuple[int, ...] | list[int]) -> bool:
     """True iff every n-element subset of the n+1 weights has gcd 1."""
-    return all(gcd(*rest) == 1 for rest in combinations(weights, len(weights) - 1))
+    return set(starmap(gcd, combinations(weights, len(weights) - 1))) == {1}
 
 
 def _block_ray(block: Block) -> tuple[list[int], int]:

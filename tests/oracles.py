@@ -15,11 +15,16 @@ Three brute-force models, deliberately disjoint from the package internals:
 * the weight solve as Gauss-Jordan elimination over Fraction;
 * a polynomial's exponent matrix built from its blocks, and its text form
   read off that matrix;
-* the split closed forms alpha and beta of a five-variable (m2, m3) split.
+* the split closed forms alpha and beta of a five-variable (m2, m3) split;
+* the definitions that rewrites for speed replaced: the pairwise weight
+  minimum, space well-formedness, the transpose, the partner rule keyed by
+  partner, and the batch CSV as csv.DictWriter writes it.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import floor, gcd, lcm
@@ -392,3 +397,49 @@ def beta(split: SplitDecomposition) -> Fraction:
     m3 = split.m3
     numerator = m3 * m3 - (a + b_ + c_) * m3 + (a * b_ + a * c_ + b_ * c_)
     return Fraction(numerator, a * b_ * c_)
+
+
+# ----- the definitions the fast paths replace ---------------------------------
+# Each is the form the package used before a rewrite for speed; the rewrites
+# are pinned to them in test_rewrites.py.
+
+
+def oracle_min_pair(weights: tuple[int, ...]) -> int:
+    """The smallest product of two weights, over every pair."""
+    return min(a * b for a, b in combinations(weights, 2))
+
+
+def oracle_wellformed_space(weights: tuple[int, ...]) -> bool:
+    """Every subset of all weights but one has gcd 1, subset by subset."""
+    return all(gcd(*rest) == 1 for rest in combinations(weights, len(weights) - 1))
+
+
+def oracle_transpose(poly: InvertiblePolynomial) -> InvertiblePolynomial:
+    """Every block reversed; the Block rotates each cycle back to its
+    smallest variable."""
+    blocks = (Block(b.kind, b.variables[::-1], b.exponents[::-1]) for b in poly.blocks)
+    return InvertiblePolynomial(poly.n_vars, tuple(blocks))
+
+
+def oracle_steps(ws: WeightSystem) -> list[dict[int, int]]:
+    """The partner rule keyed by partner: ``steps[j][v]`` is the exponent a
+    of x_v^a x_j, (d - w_j) / w_v where that is a positive integer and
+    j != v, filled in the same pass as the rule itself."""
+    d, w = ws.degree, ws.weights
+    partners: list[dict[int, int]] = [{} for _ in w]
+    steps: list[dict[int, int]] = [{} for _ in w]
+    for v, x in enumerate(w):
+        for j, y in enumerate(w):
+            if (d - y) % x == 0 and d - y > 0 and j != v:
+                partners[v][j] = steps[j][v] = (d - y) // x
+    return steps
+
+
+def oracle_batch_csv(out_columns: list[str], rows: list[dict[str, str]]) -> str:
+    """The batch output text as csv.DictWriter writes it."""
+    text = io.StringIO(newline="")
+    writer = csv.DictWriter(text, fieldnames=out_columns)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(row)
+    return text.getvalue()

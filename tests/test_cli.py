@@ -94,6 +94,7 @@ def test_analyze_degree_over_500_digits_exit_2(capsys):
     for weights, degree, message in (
         ("1,1,1,1,1", str(10**1500 + 1), "invalid weight system: the degree has more than 500 digits"),
         ("1,1,1,1,1", "1" + "0" * 5000, "invalid weight system: the degree has more than 500 digits"),
+        ("1,1,1,1,1", "1" * 501, "invalid weight system: the degree has more than 500 digits"),
         ("1" + "0" * 4999 + ",1,1,1,1", "7", "weights must be integers: weight field 1 has more than 500 digits"),
     ):
         assert main(["analyze", "-w", weights, "-d", degree]) == 2
@@ -104,6 +105,9 @@ def test_analyze_degree_over_500_digits_exit_2(capsys):
     for weights in ("1,1,1,1,1", "1,1,1,1,1,1,1,1"):
         assert main(["analyze", "-w", weights, "-d", str(10**499 + 1), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["degree"] == 10**499 + 1
+    # digits are counted, not characters: 600 characters of leading zeros parse
+    assert main(["analyze", "-w", "1,1,1,1,1", "-d", "0" * 597 + "105", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 105
 
 
 def test_analyze_non_integral_divisor_names_system_and_stage(capsys):
@@ -509,9 +513,12 @@ def test_verify_table_fixture_override_mismatch(tmp_path, capsys):
         # torsion is compared run by run, so only the canonical spelling passes
         row = next(r for r in ROWS if r.source == (65, 650, 1581, 867, 153))
         writer.writerow(list(row.source) + list(row.dual) + [row.dual_degree, row.dual_mu, "Z_3315+Z_51+Z_51^2"])
+        # Z_1 parses, as the trivial group in a non-canonical spelling
+        row = ROWS[0]
+        writer.writerow(list(row.source) + list(row.dual) + [row.dual_degree, row.dual_mu, "Z_1"])
     assert main(["verify-table", "--fixture", str(bad)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert all(line.startswith("FAIL") for line in lines[:7])
+    assert all(line.startswith("FAIL") for line in lines[:8])
     assert f"dual torsion {ROWS[1].dual_torsion} != ()" in lines[1]
     assert lines[2].endswith(f"dual weights {sorted(ROWS[2].dual)} != {sorted(wrong_weight)}")
     assert lines[3].endswith(f"dual degree {ROWS[3].dual_degree} != {ROWS[3].dual_degree + 1}")
@@ -521,7 +528,8 @@ def test_verify_table_fixture_override_mismatch(tmp_path, capsys):
     assert problems[1].startswith("closed forms not applicable: ")
     assert problems[2:] == ["dual not certified Sasaki-Einstein"]
     assert lines[6].endswith("dual torsion ((3315, 1), (51, 3)) != ((3315, 1), (51, 1), (51, 2))")
-    assert lines[-1] == "0/7 rows verified"
+    assert lines[7].endswith(f"dual torsion {ROWS[0].dual_torsion} != ((1, 1),)")
+    assert lines[-1] == "0/8 rows verified"
 
 
 def test_verify_table_missing_fixture_exit_2(tmp_path, capsys):
@@ -566,6 +574,21 @@ def test_verify_table_fixture_without_columns_exit_2(tmp_path, capsys):
         err = _single_error_line(capsys)
         assert err == f"error: malformed fixture row 2: {field} has more than 500 digits\n"
         assert "4300" not in err
+
+
+@pytest.mark.parametrize("torsion", ["Z_0", "Z_-73", "Z_73^0", "Z_73^-1", "Z_73+Z_0^2"])
+def test_verify_table_fixture_torsion_naming_no_group_exit_2(tmp_path, capsys, torsion):
+    # a factor or a multiplicity below 1 names no group: malformed input, not a mismatch
+    path = tmp_path / "fixture.csv"
+    path.write_text(
+        "w0,w1,w2,w3,w4,tw0,tw1,tw2,tw3,tw4,dual_d,dual_mu,dual_torsion\n"
+        f"73,73,95,45,80,219,365,420,200,260,1460,1224,{torsion}\n"
+    )
+    assert main(["verify-table", "--fixture", str(path)]) == 2
+    part = torsion.split("+")[-1]
+    assert _single_error_line(capsys) == (
+        f"error: malformed fixture row 2: bad torsion field {torsion!r}: {part} names no group\n"
+    )
 
 
 def test_verify_table_fixture_repeated_column_exit_2(tmp_path, capsys):
