@@ -7,8 +7,7 @@ an integer combination of the symbols
     L_n = div(t^n - 1),
 
 which multiply by the rule  L_a * L_b = gcd(a, b) * L_{lcm(a, b)},  extended
-bilinearly; ``expand_link_divisor`` applies that rule factor by factor.  For
-a weight system (w_0..w_n; d) with reduced invariants
+bilinearly.  For a weight system (w_0..w_n; d) with reduced invariants
 u_i = d / gcd(d, w_i) and v_i = w_i / gcd(d, w_i), the link divisor is the
 fully expanded product
 
@@ -16,8 +15,10 @@ fully expanded product
 
 whose coefficients are guaranteed integral for valid data even though the
 intermediate 1/v_i factors are genuinely fractional (the expansion runs over
-the scaled factors L_{u_i} - v_i L_1 and divides once at the end).  From the
-expanded divisor sum(a_j L_j) one reads off:
+the scaled factors L_{u_i} - v_i L_1 and divides once at the end).
+``expand_link_divisor`` multiplies the factors that share a u in closed
+form, then applies the rule once per distinct u.  From the expanded divisor
+sum(a_j L_j) one reads off:
 
 * ``coefficient_sum``  sum(a_j)       = middle Betti number of the link,
 * ``root_count``       sum(a_j * j)   = Milnor number,
@@ -32,11 +33,13 @@ every evaluator is safe under concurrency.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import NonIntegralExpansion, NonIntegralOrder, PoleAtT
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CyclotomicDivisor",
@@ -57,9 +60,14 @@ class CyclotomicDivisor:
         clean: dict[int, int] = {}
         if terms:
             for j, a in terms.items():
+                # the common case, int keys and coefficients, is kept as given
+                if type(j) is int and type(a) is int and j >= 1:
+                    if a:
+                        clean[j] = a
+                    continue
                 if j < 1:
                     raise ValueError(f"divisor index must be >= 1, got {j}")
-                # ints, and integral values such as Fraction(4, 2), are kept as int
+                # other integral values, such as True or Fraction(4, 2), become int
                 if getattr(a, "denominator", None) != 1:
                     raise ValueError(f"coefficient of L{j} must be an integer, got {a!r}")
                 if a != 0:
@@ -111,9 +119,9 @@ class CyclotomicDivisor:
                     denominator *= j**-a
         value, remainder = divmod(numerator, denominator)
         if remainder:
-            raise NonIntegralOrder(
-                f"torsion order {Fraction(numerator, denominator)} is not an integer"
-            )
+            # both are positive: the fraction in lowest terms, as Fraction prints it
+            g = gcd(numerator, denominator)
+            raise NonIntegralOrder(f"torsion order {numerator // g}/{denominator // g} is not an integer")
         return value
 
     def delta_eval(self, t: Fraction | int) -> Fraction:
@@ -125,6 +133,10 @@ class CyclotomicDivisor:
         the net multiplicity of vanishing factors is positive the product is
         0, and if it is negative the point is a pole.
         """
+        # imported here: no command evaluates Delta, and fractions costs a
+        # one-shot command its import time
+        from fractions import Fraction
+
         t = Fraction(t)
 
         def vanishes(j: int) -> bool:
@@ -146,34 +158,58 @@ def expand_link_divisor(pairs: Iterable[tuple[int, int]]) -> CyclotomicDivisor:
     """Fully expand prod_i ((1/v_i) L_{u_i} - L_1) and assert integrality.
 
     ``pairs`` lists the reduced invariants (u_i, v_i) of a weight system, one
-    per variable.  The scaled factors L_{u_i} - v_i L_1 are multiplied left
-    to right over integer term maps (indices are lcm's of the u_i, which
-    keeps the term count small), and the product is divided once by
-    prod v_i.  A coefficient that does not divide signals an invalid weight
-    system and raises :class:`NonIntegralExpansion`.
+    per variable.  The scaled factors L_{u_i} - v_i L_1 are grouped by u, in
+    the order each u first appears, and the factors of one class C multiply
+    in closed form:
+
+        prod_{i in C} (L_u - v_i L_1) = alpha L_u + beta L_1,
+        beta = prod (-v_i),  alpha = (prod (u - v_i) - beta) / u.
+
+    Proof: L_u L_u = u L_u, L_u L_1 = L_u and L_1 L_1 = L_1, so the product
+    is some alpha L_u + beta L_1, with beta the term that takes L_1 from
+    every factor.  L_j -> j is a ring homomorphism (gcd * lcm is the
+    product), and it maps the product to prod (u - v_i) = alpha u + beta.
+    The class binomials are then multiplied over integer term maps by the
+    gcd/lcm rule (indices are lcm's of the u_i, which keeps the term count
+    small), and the product is divided once by prod v_i.  Both routes to the
+    Betti number stay independent: this one forms no term per subset of the
+    variables.  A coefficient that does not divide signals an invalid weight
+    system and raises :class:`NonIntegralExpansion`, naming the largest index
+    whose coefficient is fractional.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("expected at least one (u, v) pair")
-    acc = {1: 1}
+    # u -> [prod (u - v_i), prod (-v_i)] over its class
+    classes: dict[int, list[int]] = {}
     scale = 1
     for u, v in pairs:
         if u < 1 or v < 1:
             raise ValueError(f"invalid reduced pair ({u}, {v})")
+        scale *= v
+        products = classes.get(u)
+        if products is None:
+            classes[u] = [u - v, -v]
+        else:
+            products[0] *= u - v
+            products[1] *= -v
+    if not classes:
+        raise ValueError("expected at least one (u, v) pair")
+    acc = {1: 1}
+    for u, (top, beta) in classes.items():
+        alpha = (top - beta) // u
         out: dict[int, int] = {}
         for j, a in acc.items():
             g = gcd(j, u)
             m = j // g * u
-            out[m] = out.get(m, 0) + a * g
-            out[j] = out.get(j, 0) - a * v
-        acc = {j: a for j, a in out.items() if a}
-        scale *= v
+            out[m] = out.get(m, 0) + a * g * alpha
+            out[j] = out.get(j, 0) + a * beta
+        # a zero stays until the end: the constructor drops it
+        acc = out
     terms = {}
     for j, a in acc.items():
         coefficient, remainder = divmod(a, scale)
         if remainder:
-            raise NonIntegralExpansion(
-                f"coefficient of L{j} is {Fraction(a, scale)}, not an integer"
-            )
+            k = max(i for i, b in acc.items() if b % scale)
+            # scale > 0: the fraction in lowest terms, as Fraction prints it
+            g = gcd(acc[k], scale)
+            raise NonIntegralExpansion(f"coefficient of L{k} is {acc[k] // g}/{scale // g}, not an integer")
         terms[j] = coefficient
     return CyclotomicDivisor(terms)

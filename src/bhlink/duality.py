@@ -41,7 +41,7 @@ from math import gcd
 
 from .errors import BhlinkError, CrossCheckFailed, NoSplit, PreconditionFailed
 from .invariants import HomologyProfile, _profile_memo, homology_profile
-from .polynomial import Block, BlockKind, InvertiblePolynomial, classify
+from .polynomial import CHAIN, CYCLE, Block, InvertiblePolynomial, classify
 from .representation import count_representations, enumerate_representations
 from .weights import WeightSystem, solve_weights
 
@@ -132,9 +132,9 @@ def chain_cycle_closed_forms(poly: InvertiblePolynomial, ws: WeightSystem) -> Cl
     blocks = poly.blocks
     if not (
         len(blocks) == 2
-        and blocks[0].kind is BlockKind.CHAIN
+        and blocks[0].kind is CHAIN
         and len(blocks[0].variables) == 2
-        and blocks[1].kind is BlockKind.CYCLE
+        and blocks[1].kind is CYCLE
         and len(blocks[1].variables) == 3
     ):
         raise PreconditionFailed("not a 2-chain plus 3-cycle")
@@ -215,15 +215,15 @@ def swap_twin(poly: InvertiblePolynomial) -> tuple[InvertiblePolynomial, WeightS
     """
     if classify(poly) != "Chain-Cycle":
         raise PreconditionFailed(f"swap_twin expects a chain-cycle polynomial, got {classify(poly)}")
-    cycle = next(b for b in poly.blocks if b.kind is BlockKind.CYCLE)
-    chain = next(b for b in poly.blocks if b.kind is BlockKind.CHAIN)
+    cycle = next(b for b in poly.blocks if b.kind is CYCLE)
+    chain = next(b for b in poly.blocks if b.kind is CHAIN)
     if len(cycle.variables) != 3:
         raise PreconditionFailed("swap_twin expects a three-variable cycle")
     lo, mid = sorted(cycle.variables)[:2]
     exps = {v: e for v, e in zip(cycle.variables, cycle.exponents)}
     exps[lo], exps[mid] = exps[mid], exps[lo]
     swapped_cycle = Block(
-        BlockKind.CYCLE, cycle.variables, tuple(exps[v] for v in cycle.variables)
+        CYCLE, cycle.variables, tuple(exps[v] for v in cycle.variables)
     )
     swapped = InvertiblePolynomial(poly.n_vars, (chain, swapped_cycle))
     return swapped, solve_weights(swapped)

@@ -35,6 +35,10 @@ class BlockKind(str, Enum):
     CYCLE = "cycle"
 
 
+# The members, bound once: on Python 3.11 every attribute read off the class
+# runs through the hook that EnumType's __getattr__ installs
+FERMAT, CHAIN, CYCLE = BlockKind.FERMAT, BlockKind.CHAIN, BlockKind.CYCLE
+
 # Violation codes returned by InvertiblePolynomial.validate().
 NOT_A_PARTITION = "NotAPartition"
 FERMAT_EXPONENT_TOO_SMALL = "FermatExponentTooSmall"
@@ -46,7 +50,7 @@ SINGULAR_MATRIX = "SingularMatrix"
 BLOCK_TOO_SHORT = "BlockTooShort"
 
 # the block order within a polynomial: Fermat blocks, then chains, then cycles
-_RANK = {BlockKind.FERMAT: 0, BlockKind.CHAIN: 1, BlockKind.CYCLE: 2}
+_RANK = {FERMAT: 0, CHAIN: 1, CYCLE: 2}
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class Block:
             object.__setattr__(self, "kind", BlockKind(self.kind))
         if len(self.variables) != len(self.exponents):
             raise ValueError("variables and exponents must have equal length")
-        if self.kind is BlockKind.CYCLE and self.variables:
+        if self.kind is CYCLE and self.variables:
             # canonical rotation: minimal variable first
             pivot = self.variables.index(min(self.variables))
             if pivot:
@@ -88,7 +92,7 @@ class Block:
         prod = 1
         for e in self.exponents:
             prod *= e
-        if self.kind is BlockKind.CYCLE:
+        if self.kind is CYCLE:
             # expansion of the cyclic matrix: prod(e) - (-1)^len
             return prod - (-1) ** len(self.variables)
         return prod
@@ -123,12 +127,12 @@ class InvertiblePolynomial:
         if sorted(seen) != list(range(self.n_vars)):
             violations.append(NOT_A_PARTITION)
         for b in self.blocks:
-            if b.kind is BlockKind.FERMAT:
+            if b.kind is FERMAT:
                 if len(b.variables) != 1:
                     violations.append(BLOCK_TOO_SHORT)
                 elif b.exponents[0] < 2:
                     violations.append(FERMAT_EXPONENT_TOO_SMALL)
-            elif b.kind is BlockKind.CHAIN:
+            elif b.kind is CHAIN:
                 if len(b.variables) < 2:
                     violations.append(BLOCK_TOO_SHORT)
                     continue
@@ -168,10 +172,10 @@ class InvertiblePolynomial:
         blocks = []
         for b in self.blocks:
             vs, es = b.variables, b.exponents
-            if b.kind is BlockKind.CYCLE:
-                b = Block(BlockKind.CYCLE, vs[:1] + vs[:0:-1], es[:1] + es[:0:-1])
-            elif b.kind is BlockKind.CHAIN:
-                b = Block(BlockKind.CHAIN, vs[::-1], es[::-1])
+            if b.kind is CYCLE:
+                b = Block(CYCLE, vs[:1] + vs[:0:-1], es[:1] + es[:0:-1])
+            elif b.kind is CHAIN:
+                b = Block(CHAIN, vs[::-1], es[::-1])
             blocks.append(b)
         return InvertiblePolynomial(self.n_vars, tuple(blocks))
 
@@ -187,9 +191,9 @@ class InvertiblePolynomial:
             vs = b.variables
             # the variable each owner's monomial carries to the power 1: a
             # chain entry's predecessor, a cycle entry's successor
-            if b.kind is BlockKind.CYCLE:
+            if b.kind is CYCLE:
                 links: tuple = vs[1:] + vs[:1]
-            elif b.kind is BlockKind.CHAIN:
+            elif b.kind is CHAIN:
                 links = (None, *vs[:-1])
             else:
                 links = (None,)
@@ -208,10 +212,10 @@ def classify(poly: InvertiblePolynomial) -> str:
     One of ``BP``, ``Chain``, ``Cycle``, ``BP-Chain``, ``BP-Cycle``,
     ``Chain-Cycle``, ``Cycle-Cycle`` or ``Mixed(...)``.
     """
-    counts = {BlockKind.FERMAT: 0, BlockKind.CHAIN: 0, BlockKind.CYCLE: 0}
+    counts = {FERMAT: 0, CHAIN: 0, CYCLE: 0}
     for b in poly.blocks:
         counts[b.kind] += 1
-    nf, nch, ncy = counts[BlockKind.FERMAT], counts[BlockKind.CHAIN], counts[BlockKind.CYCLE]
+    nf, nch, ncy = counts[FERMAT], counts[CHAIN], counts[CYCLE]
     if nch == 0 and ncy == 0:
         return "BP"
     if nf == 0 and nch == 1 and ncy == 0:

@@ -41,14 +41,14 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import CrossCheckFailed, NoRepresentation
-from .polynomial import Block, BlockKind, InvertiblePolynomial
+from .polynomial import CHAIN, CYCLE, FERMAT, Block, InvertiblePolynomial
 from .weights import WeightSystem
 
 __all__ = ["enumerate_representations", "find_chain_cycle", "has_invertible_representation"]
 
 
 # the kind of each block group: its key is rank * n + first variable
-_KINDS = (BlockKind.FERMAT, BlockKind.CHAIN, BlockKind.CYCLE)
+_KINDS = (FERMAT, CHAIN, CYCLE)
 
 
 @lru_cache(maxsize=1)
@@ -168,7 +168,7 @@ def _walk_order(ws: WeightSystem) -> tuple[list[tuple], int]:
         # weight ray is w_head = d, then (d - w_head) / a = 0: checked_dual
         # raises NonPositiveWeights on every polynomial holding such a chain,
         # and a batch row passes over those, so skipping them changes nothing
-        chains = kind is BlockKind.CHAIN
+        chains = kind is CHAIN
         group, dualizable, cover = [], [], 0
         for vs, es, mask in sorted(groups[k]):
             entry = (mask, slots, vs, es)
@@ -312,5 +312,5 @@ def find_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
     # exponent tuple, then canonical order, picks the chain and the cycle apart
     _, chain_vs, chain_es = min(chains)
     _, cycle_vs, cycle_es = min(cycles)
-    blocks = (Block(BlockKind.CHAIN, chain_vs, chain_es), Block(BlockKind.CYCLE, cycle_vs, cycle_es))
+    blocks = (Block(CHAIN, chain_vs, chain_es), Block(CYCLE, cycle_vs, cycle_es))
     return InvertiblePolynomial(5, blocks)

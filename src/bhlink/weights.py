@@ -11,13 +11,12 @@ profile, index and comparison reads primitive data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, starmap
 from math import gcd, lcm
 from operator import index
 
 from .errors import CrossCheckFailed, NonPositiveWeights, NoSplit, SingularSystem
-from .polynomial import Block, BlockKind, InvertiblePolynomial
+from .polynomial import CYCLE, Block, InvertiblePolynomial
 
 __all__ = [
     "WeightSystem",
@@ -89,16 +88,18 @@ class WeightSystem:
     def reduced(self) -> ReducedWeights:
         """The (u, v) pairs, computed once per system: the divisor and the
         subset tables of one profile both read them."""
-        return self._reduced
-
-    @cached_property
-    def _reduced(self) -> ReducedWeights:
-        us, vs = [], []
-        for w in self.weights:
-            g = gcd(self.degree, w)
-            us.append(self.degree // g)
-            vs.append(w // g)
-        return ReducedWeights(tuple(us), tuple(vs))
+        # kept in the instance dict by hand: functools.cached_property takes
+        # a lock on each first read before Python 3.12
+        red = self.__dict__.get("_reduced")
+        if red is None:
+            d = self.degree
+            us, vs = [], []
+            for w in self.weights:
+                g = gcd(d, w)
+                us.append(d // g)
+                vs.append(w // g)
+            red = self.__dict__["_reduced"] = ReducedWeights(tuple(us), tuple(vs))
+        return red
 
     def wellformedness(self) -> tuple[bool, bool]:
         """(well-formed ambient space, well-formed hypersurface); the
@@ -120,27 +121,26 @@ class WeightSystem:
         values must agree); raises :class:`NoSplit` when any divisibility or
         coprimality requirement fails.
         """
-        if len(self.weights) != 5:
+        w, d = self.weights, self.degree
+        if len(w) != 5:
             raise NoSplit("splits are defined for five-variable systems")
         g3, g2 = tuple(grouping[0]), tuple(grouping[1])
-        if sorted(g3 + g2) != list(range(5)) or len(g3) != 2:
+        if len(g3) != 2 or sorted(g3 + g2) != [0, 1, 2, 3, 4]:
             raise NoSplit(f"grouping {grouping} does not partition the five indices")
-        d = self.degree
-        m2_values = {d // gcd(d, self.weights[i]) for i in g3}
-        if len(m2_values) != 1:
-            raise NoSplit(f"u_i disagree on the m3 group: {sorted(m2_values)}")
         # m2 = d / gcd(d, w_i) divides d, and m3 = gcd(d, w_i) divides w_i on g3
-        m2 = m2_values.pop()
-        m3 = d // m2
+        m3 = gcd(d, w[g3[0]])
+        m2, other = d // m3, d // gcd(d, w[g3[1]])
+        if other != m2:
+            raise NoSplit(f"u_i disagree on the m3 group: {sorted((m2, other))}")
         if gcd(m2, m3) != 1:
             raise NoSplit(f"gcd(m2, m3) = gcd({m2}, {m3}) != 1")
         v = [0] * 5
         for i in g3:
-            v[i] = self.weights[i] // m3
+            v[i] = w[i] // m3
         for i in g2:
-            if self.weights[i] % m2 != 0:
-                raise NoSplit(f"m2 = {m2} does not divide w_{i} = {self.weights[i]}")
-            v[i] = self.weights[i] // m2
+            if w[i] % m2:
+                raise NoSplit(f"m2 = {m2} does not divide w_{i} = {w[i]}")
+            v[i] = w[i] // m2
         return SplitDecomposition(m2, m3, tuple(v), g3, g2)
 
     def __str__(self) -> str:
@@ -158,7 +158,7 @@ def _block_ray(block: Block) -> tuple[list[int], int]:
     N_last / D, then N_{j-1} = D - a_j N_j; backwards over a cycle, to N_0 and
     prod(a) with D = prod(a) - (-1)^L, then N_{j+1} = D - a_j N_j.  No division.
     """
-    exps, cycle = block.exponents, block.kind is BlockKind.CYCLE
+    exps, cycle = block.exponents, block.kind is CYCLE
     num, den = 0, 1
     for a in exps[::-1] if cycle else exps:
         num, den = den - num, den * a
@@ -186,12 +186,14 @@ def solve_weights(poly: InvertiblePolynomial) -> WeightSystem:
         if den == 0:
             raise SingularSystem("exponent matrix is singular")
         g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-        solved.append((block, [num // g for num in nums], den // g))
+        # the ray is nums / den = (nums / g) / (den / g), in lowest terms
+        solved.append((block, nums, g, den // g))
         d = lcm(d, den // g)
     ray = [None] * poly.n_vars
-    for block, nums, den in solved:
-        ws = [num * (d // den) for num in nums]
-        links = ws[1:] + ws[:1] if block.kind is BlockKind.CYCLE else [0] + ws[:-1]
+    for block, nums, g, den in solved:
+        scale = d // den
+        ws = [num // g * scale for num in nums]
+        links = ws[1:] + ws[:1] if block.kind is CYCLE else [0] + ws[:-1]
         for v, a, w, link in zip(block.variables, block.exponents, ws, links):
             if a * w + link != d:
                 raise CrossCheckFailed(f"block {block} solved as {ws} fails A.w = {d}.1")

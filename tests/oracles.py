@@ -18,7 +18,8 @@ Three brute-force models, deliberately disjoint from the package internals:
 * the split closed forms alpha and beta of a five-variable (m2, m3) split;
 * the definitions that rewrites for speed replaced: the pairwise weight
   minimum, space well-formedness, the transpose, the partner rule keyed by
-  partner, and the batch CSV as csv.DictWriter writes it.
+  partner, the batch CSV as csv.DictWriter writes it, and the link divisor
+  expanded one factor per variable.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from bhlink.errors import (
     BhlinkError,
     CrossCheckFailed,
     NoRepresentation,
+    NonIntegralExpansion,
     NonIntegralMilnor,
     NonPositiveWeights,
     SingularSystem,
@@ -443,3 +445,32 @@ def oracle_batch_csv(out_columns: list[str], rows: list[dict[str, str]]) -> str:
     for row in rows:
         writer.writerow(row)
     return text.getvalue()
+
+
+def oracle_expand_link_divisor(pairs) -> CyclotomicDivisor:
+    """prod_i ((1/v_i) L_{u_i} - L_1) multiplied out one scaled factor
+    L_{u_i} - v_i L_1 at a time, left to right, then divided once by
+    prod v_i; a remainder names the first such coefficient in term order."""
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("expected at least one (u, v) pair")
+    acc = {1: 1}
+    scale = 1
+    for u, v in pairs:
+        if u < 1 or v < 1:
+            raise ValueError(f"invalid reduced pair ({u}, {v})")
+        out: dict[int, int] = {}
+        for j, a in acc.items():
+            g = gcd(j, u)
+            m = j // g * u
+            out[m] = out.get(m, 0) + a * g
+            out[j] = out.get(j, 0) - a * v
+        acc = {j: a for j, a in out.items() if a}
+        scale *= v
+    terms = {}
+    for j, a in acc.items():
+        coefficient, remainder = divmod(a, scale)
+        if remainder:
+            raise NonIntegralExpansion(f"coefficient of L{j} is {Fraction(a, scale)}, not an integer")
+        terms[j] = coefficient
+    return CyclotomicDivisor(terms)

@@ -735,6 +735,17 @@ def _subprocess_env():
     return env
 
 
+def test_import_leaves_fractions_out():
+    # fractions brings in decimal and numbers, import time a one-shot command
+    # pays for nothing: only the owner-pinned delta_eval uses it, and imports it itself
+    code = "import sys, bhlink.cli; print('fractions' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_closed_stdout_exit_2():
     # the reader goes away before the first write, as with `| head -1`
     proc = subprocess.Popen(

@@ -61,10 +61,44 @@ def test_multiply_squared_difference_collapses_to_unit():
 
 
 def test_coefficients_are_integers():
-    assert CyclotomicDivisor({3: Fraction(4, 2)}).terms == {3: 2}
-    assert type(CyclotomicDivisor({3: Fraction(4, 2)}).terms[3]) is int
+    # int keys and coefficients are kept as given; any other integral value
+    # becomes an int, zeros are dropped, and the rest raises
+    assert D({2: 5, 3: 0}).terms == {2: 5}
+    for value, want in ((True, 1), (Fraction(4, 2), 2)):
+        terms = D({2: value}).terms
+        assert terms == {2: want}
+        assert type(terms[2]) is int
+    assert type(next(iter(D({True: 3}).terms))) is int
     with pytest.raises(ValueError, match="L6"):
-        CyclotomicDivisor({1: 1, 6: Fraction(1, 2)})
+        D({1: 1, 6: Fraction(1, 2)})
+    with pytest.raises(ValueError, match=r"^coefficient of L2 must be an integer, got 2\.0$"):
+        D({2: 2.0})
+    with pytest.raises(ValueError, match=r"^divisor index must be >= 1, got 0$"):
+        D({0: 1})
+    with pytest.raises(ValueError, match=r"^divisor index must be >= 1, got -3$"):
+        D({-3: 1})
+
+
+def test_repeated_u_with_v_above_one_matches_circle_model():
+    # the factors of one u multiply in closed form, so a class of two or
+    # three factors with v > 1 is the case the grouping must get right:
+    # (8, 14, 19, 19, 10; 38) has u = 19 with v = 4, 7 and 5
+    from generators import random_weight_system
+
+    rng = random.Random(3)
+    pairs = list(WeightSystem((8, 14, 19, 19, 10), 38).reduced().pairs())
+    assert pairs == [(19, 4), (19, 7), (2, 1), (2, 1), (19, 5)]
+    _check_expansion(pairs, rng)
+    count = 0
+    while count < 20:
+        got = random_weight_system(rng, max_weight=24)
+        if got is None:
+            continue
+        pairs = list(got[1].reduced().pairs())
+        us = [u for u, _ in pairs]
+        if any(us.count(u) > 1 and v > 1 for u, v in pairs):
+            count += 1
+            _check_expansion(pairs, rng)
 
 
 def test_ring_laws_on_random_divisors():
@@ -109,8 +143,26 @@ def test_expand_not_wellformed_dual_data():
 
 def test_expand_rejects_invalid_weight_system():
     # no quasihomogeneous polynomial has weights (2, 3) in degree 4
-    with pytest.raises(NonIntegralExpansion):
+    with pytest.raises(NonIntegralExpansion, match=r"^coefficient of L4 is 1/3, not an integer$"):
         expand_link_divisor([(2, 1), (4, 3)])
+
+
+def test_expand_names_the_largest_fractional_index():
+    # the coefficients of L2 (1/3) and L3 (1/5) are both fractional; the
+    # error names L3, in every factor order
+    for pairs in ([(6, 2), (2, 3), (3, 5)], [(3, 5), (2, 3), (6, 2)]):
+        with pytest.raises(NonIntegralExpansion, match=r"^coefficient of L3 is 1/5, not an integer$"):
+            expand_link_divisor(pairs)
+
+
+def test_expand_rejects_bad_pairs():
+    with pytest.raises(ValueError, match=r"^expected at least one \(u, v\) pair$"):
+        expand_link_divisor([])
+    # the first invalid pair is named, as the pairs come
+    with pytest.raises(ValueError, match=r"^invalid reduced pair \(0, 1\)$"):
+        expand_link_divisor([(2, 1), (0, 1), (3, 0)])
+    with pytest.raises(ValueError, match=r"^invalid reduced pair \(3, 0\)$"):
+        expand_link_divisor(iter([(2, 1), (3, 0)]))
 
 
 def test_coefficient_sum_examples():
@@ -137,8 +189,11 @@ def test_delta_order_at_one():
         == 13**24
     )
     # coefficient sum 0, but the value at t = 1 is 1/2
-    with pytest.raises(NonIntegralOrder, match=r"1/2 is not an integer"):
+    with pytest.raises(NonIntegralOrder, match=r"^torsion order 1/2 is not an integer$"):
         D({1: 1, 2: -1}).delta_order_at_one()
+    # 4 / 6^2 is printed in lowest terms
+    with pytest.raises(NonIntegralOrder, match=r"^torsion order 1/9 is not an integer$"):
+        D({1: 1, 4: 1, 6: -2}).delta_order_at_one()
 
 
 def test_delta_eval_simple_points():

@@ -1,23 +1,37 @@
 """Each rewrite for speed against the definition it replaced (tests/oracles.py).
 
 The systems come from the 3- to 8-variable generator, plus all-equal
-weights (1^n; d), whose partner rule links every pair of variables.
+weights (1^n; d), whose partner rule links every pair of variables.  The
+link divisor's pair lists also come with u from a small set, so that
+factors share a u, and all equal.
 """
 
 import csv
 import random
 import tempfile
+from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 from pathlib import Path
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bhlink import WeightSystem, cli, se_certificate, wellformed_space
+from bhlink import WeightSystem, cli, expand_link_divisor, se_certificate, wellformed_space
+from bhlink.errors import NonIntegralExpansion
 from bhlink.representation import _partners, _pickers, iter_representations
 
 from generators import random_weight_system
-from oracles import oracle_batch_csv, oracle_min_pair, oracle_steps, oracle_transpose, oracle_wellformed_space
+from oracles import (
+    oracle_batch_csv,
+    oracle_expand_link_divisor,
+    oracle_min_pair,
+    oracle_steps,
+    oracle_transpose,
+    oracle_wellformed_space,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -77,6 +91,57 @@ def test_partner_rule_inverts_to_the_mirrored_steps(case):
     assert [list(row.items()) for row in _pickers(partners)] == [list(row.items()) for row in oracle_steps(ws)]
     d = ws.degree
     assert heads == [d // w if d % w == 0 and d >= 2 * w else 0 for w in ws.weights]
+
+
+# u = 1 and u = 12 included: L_1 is the ring's unit, and every other u divides 12
+SMALL_U = (1, 2, 3, 4, 6, 12)
+
+
+@st.composite
+def pair_lists(draw):
+    """(u, v) lists of 1 to 8 pairs: a generated system's reduced pairs, one
+    pair repeated, or pairs with u from SMALL_U; most of the last two are
+    not integral."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return list(draw(systems())[1].reduced().pairs())
+    n = draw(st.integers(1, 8))
+    pair = st.tuples(st.sampled_from(SMALL_U), st.integers(1, 7))
+    if kind == 1:
+        return [draw(pair)] * n
+    return draw(st.lists(pair, min_size=n, max_size=n))
+
+
+def _exact_terms(pairs) -> dict[int, Fraction]:
+    """prod ((1/v) L_u - L_1) over Fraction coefficients, nonzero terms only."""
+    acc = {1: Fraction(1)}
+    for u, v in pairs:
+        out: dict[int, Fraction] = {}
+        for j, a in acc.items():
+            out[lcm(j, u)] = out.get(lcm(j, u), 0) + a * gcd(j, u) / v
+            out[j] = out.get(j, 0) - a
+        acc = out
+    return {j: a for j, a in acc.items() if a}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pair_lists())
+def test_grouped_expansion_matches_factor_by_factor(pairs):
+    try:
+        want = oracle_expand_link_divisor(pairs)
+    except NonIntegralExpansion as exc:
+        # both refuse; the grouped expansion names the largest index whose
+        # coefficient is fractional, the oracle the first one its term order
+        # met, which may be another fractional coefficient
+        with pytest.raises(NonIntegralExpansion) as got:
+            expand_link_divisor(pairs)
+        exact = _exact_terms(pairs)
+        fractional = {f"coefficient of L{j} is {a}, not an integer" for j, a in exact.items() if a.denominator > 1}
+        top = max(j for j, a in exact.items() if a.denominator > 1)
+        assert str(got.value) == f"coefficient of L{top} is {exact[top]}, not an integer"
+        assert str(exc) in fractional
+    else:
+        assert expand_link_divisor(pairs) == want
 
 
 HEADERS = ["w0", "w1", "w2", "w3", "w4", "d"]
