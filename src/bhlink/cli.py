@@ -19,7 +19,7 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .duality import Verdict, checked_dual, is_twin, pipeline, se_certificate
+from .duality import SASAKI_EINSTEIN, checked_dual, is_twin, pipeline, se_certificate
 from .errors import BhlinkError, CrossCheckFailed, NoRepresentation
 from .invariants import HomologyProfile, _profile_memo, homology_profile
 from .polynomial import classify
@@ -457,7 +457,7 @@ def verify_row(row: FixtureRow) -> tuple[bool, str]:
         problems = [f"{label} {got} != {want}" for label, got, want in checks if got != want]
         if dual.skipped:
             problems.append(f"closed forms not applicable: {dual.skipped}")
-        if dual.dual_verdict.verdict is not Verdict.SASAKI_EINSTEIN:
+        if dual.dual_verdict.verdict is not SASAKI_EINSTEIN:
             problems.append("dual not certified Sasaki-Einstein")
         if problems:
             return False, "; ".join(problems)

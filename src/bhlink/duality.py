@@ -65,6 +65,13 @@ class Verdict(str, Enum):
     NOT_FANO = "NotFano"
 
 
+# The members, bound once, as polynomial binds BlockKind's: on Python 3.11
+# every attribute read off the class runs through EnumType's __getattr__ hook
+SASAKI_EINSTEIN, POSITIVE_RICCI_ONLY, NOT_FANO = (
+    Verdict.SASAKI_EINSTEIN, Verdict.POSITIVE_RICCI_ONLY, Verdict.NOT_FANO
+)
+
+
 @dataclass(frozen=True)
 class SasakiVerdict:
     fano: bool
@@ -87,10 +94,10 @@ def se_certificate(ws: WeightSystem) -> SasakiVerdict:
     low = sorted(ws.weights)
     holds = (n - 1) * index * ws.degree < n * low[0] * low[1]
     if index <= 0:
-        return SasakiVerdict(False, holds, Verdict.NOT_FANO)
+        return SasakiVerdict(False, holds, NOT_FANO)
     if holds:
-        return SasakiVerdict(True, True, Verdict.SASAKI_EINSTEIN)
-    return SasakiVerdict(True, False, Verdict.POSITIVE_RICCI_ONLY)
+        return SasakiVerdict(True, True, SASAKI_EINSTEIN)
+    return SasakiVerdict(True, False, POSITIVE_RICCI_ONLY)
 
 
 def bh_dual(poly: InvertiblePolynomial) -> tuple[InvertiblePolynomial, WeightSystem]:

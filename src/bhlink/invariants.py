@@ -15,8 +15,9 @@ cross-checked:
   whose k is at least j, and the torsion group is the direct sum of Z/d_j.
 
 The subset route is integer-only.  Subsets of the index set are bitmasks.
-One cached pass per system reduces the weights and fills two per-mask
-arrays: the signed terms (-1)^(n+1-|T|) D f(T) for f(T) = prod u_T /
+One cached call per system reduces the weights and runs a straight-line
+kernel, generated once per variable count (at most 8), that fills two
+per-mask arrays: the signed terms (-1)^(n+1-|T|) D f(T) for f(T) = prod u_T /
 (prod v_T * lcm u_T) over the common denominator D = prod v * lcm u, and the
 c-numbers in closed form, c(S) = g(S) / gcd(g(S), lcm u_S) with g(S) the gcd
 of the u_i outside S.  The Betti number is one sum of all the terms.  A
@@ -169,6 +170,54 @@ def milnor_number(ws: WeightSystem) -> int:
     return value
 
 
+# the kernel's text grows as 3 * 2^n1 lines; the CLI admits 5 to 8 weights
+_MAX_WEIGHTS = 8
+
+
+@lru_cache(maxsize=None)
+def _table_kernel(n1: int):
+    """The straight-line filler of :func:`_subset_table` for n1 weights,
+    generated once per variable count.
+
+    ``kernel(u_0, .., u_{n1-1}, v_0, .., v_{n1-1})`` returns ``(terms, D, c)``.
+    Mask m with low bit i has parent p = m ^ (m & -m), and its entries are
+    locals: s_m = s_p // -v_i * u_i (the sign flips with each index), l_m =
+    lcm(l_p, u_i) and g_m = gcd(g_p, u_i); a one-index mask's lcm and gcd
+    are u_i itself.  Every division is exact, so the parent chosen cannot
+    change a value.  The text holds only names built from integer indices,
+    and it runs with no builtins: its namespace holds ``gcd`` and ``lcm``.
+    """
+    full = (1 << n1) - 1
+    args = ", ".join([f"u{i}" for i in range(n1)] + [f"v{i}" for i in range(n1)])
+    lines = [f"def kernel({args}):", f"    pv = {' * '.join(f'v{i}' for i in range(n1))}"]
+    # s, l and g: the expression naming each mask's entry; the empty set's
+    # lcm is 1 and it has no gcd, which only the full set's c would read
+    s = ["-pv" if n1 & 1 else "pv"]
+    l, g = ["1"], [""]
+    for m in range(1, full + 1):
+        i = (m & -m).bit_length() - 1
+        p = m & (m - 1)
+        lines.append(f"    s{m} = {s[p]} // -v{i} * u{i}")
+        s.append(f"s{m}")
+        if p:
+            lines += [f"    l{m} = lcm({l[p]}, u{i})", f"    g{m} = gcd({g[p]}, u{i})"]
+            l.append(f"l{m}")
+            g.append(f"g{m}")
+        else:
+            l.append(f"u{i}")
+            g.append(f"u{i}")
+    lcm_all = l[full]
+    # L // l_m is 1 on the full set; c of the empty set is g(full) // gcd(g(full), 1)
+    terms = [f"{s[0]} * {lcm_all}"]
+    terms += [f"{s[m]} * ({lcm_all} // {l[m]})" for m in range(1, full)]
+    terms.append(s[full])
+    c = [g[full]] + [f"{g[full ^ m]} // gcd({g[full ^ m]}, {l[m]})" for m in range(1, full)] + ["1"]
+    lines.append(f"    return ({', '.join(terms)}), pv * {lcm_all}, ({', '.join(c)})")
+    namespace = {"__builtins__": {}, "gcd": gcd, "lcm": lcm}
+    exec(compile("\n".join(lines), f"<bhlink subset-table kernel, {n1} weights>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 @lru_cache(maxsize=1)
 def _subset_table(ws: WeightSystem) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     """The per-mask arrays of one system: the signed terms, D and the c-numbers.
@@ -177,10 +226,12 @@ def _subset_table(ws: WeightSystem) -> tuple[tuple[int, ...], int, tuple[int, ..
     with f(T) = prod u_T / (prod v_T * lcm u_T), f(empty) = 1, and D = prod v
     * lcm u, so every term is an integer; the terms are not summed here.  The
     last entry holds c(S) = g(S) / gcd(g(S), lcm u_S), with g(S) the gcd of
-    the u_i outside S (the full set has no g; its c is 1).  One pass doubles
-    the arrays per index, filling the products, lcms and gcds of every
-    T | {i} from T.  The last system's arrays are kept: the subset sum and
-    the torsion recursion of one profile read the same ones.
+    the u_i outside S (the full set has no g; its c is 1).  The kernel of
+    :func:`_table_kernel` fills the products, lcms and gcds of every mask
+    from its parent without a loop.  A system of more than 8 weights raises
+    :class:`PreconditionFailed`: the kernel's text grows as 3 * 2^(n+1)
+    lines.  The last system's arrays are kept: the subset sum and the
+    torsion recursion of one profile read the same ones.
 
     This closed form is the c of the recursion c(S) = g(S) / prod of c over
     the proper subsets of S: for a prime p let x_i = v_p(u_i) and B_k = {i :
@@ -188,23 +239,12 @@ def _subset_table(ws: WeightSystem) -> tuple[tuple[int, ...], int, tuple[int, ..
     inversion v_p(c(S)) = #{k >= 1 : B_k = S} = max(0, min_{i not in S} x_i
     - max_{i in S} x_i), which is v_p(g(S)) - min(v_p(g(S)), v_p(lcm u_S)).
     """
+    if ws.n_vars > _MAX_WEIGHTS:
+        raise PreconditionFailed(
+            f"the subset table takes at most {_MAX_WEIGHTS} weights; {ws} has {ws.n_vars}"
+        )
     red = ws.reduced()
-    prod_v = prod(red.v)
-    signed = [-prod_v if len(red.u) & 1 else prod_v]  # +-prod u_T * prod v outside T
-    lcm_u = [1]
-    gcd_u = [0]
-    for ui, vi in red.pairs():
-        # entry t | bit is appended at index bit + t; one more index flips the sign
-        signed += [m // -vi * ui for m in signed]
-        lcm_u += [lcm(l, ui) for l in lcm_u]
-        gcd_u += [gcd(g, ui) for g in gcd_u]
-    lcm_all = lcm_u[-1]
-    terms = tuple([m * (lcm_all // l) for m, l in zip(signed, lcm_u)])
-    # the gcd outside S is gcd_u[full ^ S], read in reverse; g = 1 gives c = 1,
-    # and g = 0 only for the full set, whose c is set to 1 after the pass
-    c = [g // gcd(g, l) for g, l in zip(reversed(gcd_u), lcm_u)]
-    c[-1] = 1
-    return terms, prod_v * lcm_all, tuple(c)
+    return _table_kernel(ws.n_vars)(*red.u, *red.v)
 
 
 def _inclusion_exclusion(terms: tuple[int, ...], n1: int, mask: int) -> int:

@@ -18,8 +18,9 @@ Three brute-force models, deliberately disjoint from the package internals:
 * the split closed forms alpha and beta of a five-variable (m2, m3) split;
 * the definitions that rewrites for speed replaced: the pairwise weight
   minimum, space well-formedness, the transpose, the partner rule keyed by
-  partner, the batch CSV as csv.DictWriter writes it, and the link divisor
-  expanded one factor per variable.
+  partner, the batch CSV as csv.DictWriter writes it, the link divisor
+  expanded one factor per variable, and the subset table filled by doubling
+  its per-mask arrays one index at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import csv
 import io
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import floor, gcd, lcm
+from math import floor, gcd, lcm, prod
 
 from bhlink.divisor import CyclotomicDivisor
 from bhlink.duality import DualReport, checked_dual
@@ -474,3 +475,25 @@ def oracle_expand_link_divisor(pairs) -> CyclotomicDivisor:
             raise NonIntegralExpansion(f"coefficient of L{j} is {Fraction(a, scale)}, not an integer")
         terms[j] = coefficient
     return CyclotomicDivisor(terms)
+
+
+def oracle_subset_table(ws: WeightSystem) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """invariants._subset_table's (terms, D, c) by doubling: each index
+    appends, for every mask t filled so far, the entries of t | bit from
+    those of t."""
+    red = ws.reduced()
+    prod_v = prod(red.v)
+    signed = [-prod_v if len(red.u) & 1 else prod_v]  # +-prod u_T * prod v outside T
+    lcm_u = [1]
+    gcd_u = [0]
+    for ui, vi in red.pairs():
+        # entry t | bit is appended at index bit + t; one more index flips the sign
+        signed += [m // -vi * ui for m in signed]
+        lcm_u += [lcm(l, ui) for l in lcm_u]
+        gcd_u += [gcd(g, ui) for g in gcd_u]
+    lcm_all = lcm_u[-1]
+    terms = tuple([m * (lcm_all // l) for m, l in zip(signed, lcm_u)])
+    # the gcd outside S is gcd_u[full ^ S], read in reverse; the full set's c is 1
+    c = [g // gcd(g, l) for g, l in zip(reversed(gcd_u), lcm_u)]
+    c[-1] = 1
+    return terms, prod_v * lcm_all, tuple(c)

@@ -746,6 +746,16 @@ def test_import_leaves_fractions_out():
     assert proc.stdout == "False\n"
 
 
+def test_import_builds_no_table_kernel():
+    # the subset table's kernel is generated on first use, not at import
+    code = "import bhlink.cli; from bhlink import invariants; print(invariants._table_kernel.cache_info())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n"
+
+
 def test_closed_stdout_exit_2():
     # the reader goes away before the first write, as with `| head -1`
     proc = subprocess.Popen(

@@ -21,7 +21,13 @@ from bhlink import (
     milnor_number,
     orlik_torsion,
 )
-from bhlink.errors import CrossCheckFailed, NoSplit, NonIntegralExpansion, NonIntegralMilnor
+from bhlink.errors import (
+    CrossCheckFailed,
+    NoSplit,
+    NonIntegralExpansion,
+    NonIntegralMilnor,
+    PreconditionFailed,
+)
 from bhlink.fixture import ROWS
 
 from generators import random_weight_system, theorem_population
@@ -355,3 +361,24 @@ def test_profile_memo_is_bounded(monkeypatch):
         for degree in (2, 3, 4):
             homology_profile(WeightSystem((1, 1, 1, 1, 1), degree))
         assert list(invariants._MEMO.get()) == [((1, 1, 1, 1, 1), 3), ((1, 1, 1, 1, 1), 4)]
+
+
+def test_table_kernel_is_built_once_per_variable_count():
+    invariants._subset_table.cache_clear()
+    invariants._table_kernel.cache_clear()
+    for weights, degree in (((15, 35, 14, 7, 35), 105), ((219, 365, 420, 200, 260), 1460)):
+        homology_profile(WeightSystem(weights, degree))
+    assert invariants._table_kernel.cache_info().misses == 1
+    homology_profile(WeightSystem((22, 14, 11, 66, 21, 55, 11, 11), 77))
+    assert invariants._table_kernel.cache_info().misses == 2
+
+
+def test_nine_weights_are_refused_before_any_kernel_is_built():
+    invariants._table_kernel.cache_clear()
+    ws = WeightSystem((1,) * 9, 2)
+    text = "the subset table takes at most 8 weights; (1, 1, 1, 1, 1, 1, 1, 1, 1; d=2) has 9"
+    for compute in (betti_subset_sum, orlik_torsion, homology_profile):
+        with pytest.raises(PreconditionFailed) as raised:
+            compute(ws)
+        assert str(raised.value) == text
+    assert invariants._table_kernel.cache_info().misses == 0

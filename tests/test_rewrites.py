@@ -3,7 +3,8 @@
 The systems come from the 3- to 8-variable generator, plus all-equal
 weights (1^n; d), whose partner rule links every pair of variables.  The
 link divisor's pair lists also come with u from a small set, so that
-factors share a u, and all equal.
+factors share a u, and all equal.  The subset table's systems also have 2
+weights, or are golden duals, whose terms pass 2^30, or (2,2,2,2,w; 2w).
 """
 
 import csv
@@ -19,8 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bhlink import WeightSystem, cli, expand_link_divisor, se_certificate, wellformed_space
+from bhlink import WeightSystem, cli, expand_link_divisor, invariants, se_certificate, wellformed_space
 from bhlink.errors import NonIntegralExpansion
+from bhlink.fixture import ROWS
 from bhlink.representation import _partners, _pickers, iter_representations
 
 from generators import random_weight_system
@@ -29,6 +31,7 @@ from oracles import (
     oracle_expand_link_divisor,
     oracle_min_pair,
     oracle_steps,
+    oracle_subset_table,
     oracle_transpose,
     oracle_wellformed_space,
 )
@@ -91,6 +94,36 @@ def test_partner_rule_inverts_to_the_mirrored_steps(case):
     assert [list(row.items()) for row in _pickers(partners)] == [list(row.items()) for row in oracle_steps(ws)]
     d = ws.degree
     assert heads == [d // w if d % w == 0 and d >= 2 * w else 0 for w in ws.weights]
+
+
+@st.composite
+def table_systems(draw):
+    """A generated system of 2 to 8 weights, (1^n; d), a golden dual or
+    (2,2,2,2,w; 2w)."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        n = draw(st.integers(2, 8))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        got = None
+        while got is None:
+            got = random_weight_system(rng, n=n)
+        return got[1]
+    if kind == 1:
+        return WeightSystem((1,) * draw(st.integers(2, 8)), draw(st.integers(2, 9)))
+    if kind == 2:
+        row = draw(st.sampled_from(ROWS))
+        return WeightSystem(row.dual, row.dual_degree)
+    w = draw(st.integers(3, 40))
+    return WeightSystem((2, 2, 2, 2, w), 2 * w)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table_systems())
+def test_table_kernel_matches_the_doubling(ws):
+    terms, scale, c = invariants._subset_table(ws)
+    assert (terms, scale, c) == oracle_subset_table(ws)
+    assert type(terms) is tuple and type(c) is tuple
+    assert all(type(x) is int for x in (*terms, scale, *c))
 
 
 # u = 1 and u = 12 included: L_1 is the ring's unit, and every other u divides 12
