@@ -20,10 +20,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .duality import SASAKI_EINSTEIN, checked_dual, is_twin, pipeline, se_certificate
-from .errors import BhlinkError, CrossCheckFailed, NoRepresentation
+from .errors import BhlinkError, CrossCheckFailed
 from .invariants import HomologyProfile, _profile_memo, homology_profile
 from .polynomial import classify
 from .representation import (
+    _chain_cycle,
     count_representations,
     find_chain_cycle,
     has_invertible_representation,
@@ -278,11 +279,8 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
         # is genuinely new); otherwise the first representation in canonical
         # order with a nondegenerate dual, built only as far as that one; the
         # walk passes over those whose transpose is invalid, as this loop would
-        try:
-            first = [find_chain_cycle(ws)]
-        except NoRepresentation:
-            first = []
-        for chosen in chain(first, iter_representations(ws, transposable=True)):
+        pick = _chain_cycle(ws)
+        for chosen in chain((pick,) if pick is not None else (), iter_representations(ws, transposable=True)):
             try:
                 dual = checked_dual(chosen, ws)
             except CrossCheckFailed:

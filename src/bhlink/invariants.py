@@ -115,7 +115,7 @@ class TorsionWorksheet:
     Bit i of a mask stands for index i.  ``c`` values are positive integers,
     in closed form (see :func:`_subset_table`); ``terms`` holds the signed
     terms (-1)^(n+1-|T|) D f(T) and ``scale`` is D.  On a subset S of
-    parity weight 1, D k(S) is ``_inclusion_exclusion(terms, n + 1, S)``;
+    parity weight 1, D k(S) is ``_inclusion_exclusion(terms, S)``;
     k is 0 on the others.  ``r`` = floor(max k), computed on first read:
     the torsion runs need k only where c > 1.  The full index set has no
     complement gcd; its parity weight is 0 so it never enters any d_j, and
@@ -130,7 +130,7 @@ class TorsionWorksheet:
     def r(self) -> int:
         n1 = len(self.terms).bit_length() - 1
         return max(
-            _inclusion_exclusion(self.terms, n1, mask) if (n1 - mask.bit_count()) & 1 else 0
+            _inclusion_exclusion(self.terms, mask) if (n1 - mask.bit_count()) & 1 else 0
             for mask in range(len(self.terms))
         ) // self.scale
 
@@ -247,16 +247,17 @@ def _subset_table(ws: WeightSystem) -> tuple[tuple[int, ...], int, tuple[int, ..
     return _table_kernel(ws.n_vars)(*red.u, *red.v)
 
 
-def _inclusion_exclusion(terms: tuple[int, ...], n1: int, mask: int) -> int:
-    """D times the inclusion-exclusion sum of a mask S, sum_{T subset S}
+def _inclusion_exclusion(terms: tuple[int, ...], mask: int) -> int:
+    """D times the inclusion-exclusion sum of a mask S of parity weight 1
+    (n1 - |S| odd, the only masks either caller passes), sum_{T subset S}
     (-1)^(|S|-|T|) D f(T), by one pass over the submasks of S.  The terms
     carry (-1)^(n1-|T|), so the sum of the submasks' terms is the wanted
-    sum times (-1)^(n1-|S|)."""
+    sum times (-1)^(n1-|S|) = -1."""
     total, sub = terms[0], mask
     while sub:
         total += terms[sub]
         sub = (sub - 1) & mask
-    return -total if (n1 - mask.bit_count()) & 1 else total
+    return -total
 
 
 def betti_subset_sum(ws: WeightSystem) -> int:
@@ -312,7 +313,7 @@ def orlik_torsion(ws: WeightSystem) -> tuple[TorsionWorksheet, tuple[tuple[int, 
     for mask in _odd_masks(n1):
         c_mask = c[mask]
         if c_mask > 1:
-            k_mask = _inclusion_exclusion(terms, n1, mask)
+            k_mask = _inclusion_exclusion(terms, mask)
             if k_mask >= scale:
                 level = k_mask // scale
                 by_floor[level] = by_floor.get(level, 1) * c_mask

@@ -19,20 +19,19 @@ so only an even cycle can be singular; a map holding one that is degenerate
 (exponents all 1 on its even or its odd positions) is rejected, and every
 other partner map is exactly one representation.  So existence is a
 first-found search over partner maps that builds no polynomial, and the
-chain-cycle pick reads its few candidates straight from the partner rule.
+chain-cycle pick reads its few candidates straight from the partner rule
+(a batch row's pick returns None on a miss, and raises nothing).
 
-Counting and enumeration share one option table (cached for the last
-system), which holds the *valid* blocks as raw fields: Fermat blocks, then
-chains from each head and cycles pinned at their smallest variable, found by
-one walk from partners to the variables that may pick them, grouped by
-canonical key and counted per cell.  Every set partition of table blocks is
-a representation: the count is a subset sum over the cell counts and builds
-no block, and the walk over partitions yields them lazily in canonical order
-(by the (kind value, variables, exponents) of each block, in the
-polynomial's block order), validating each one as an independent check of
-the rules it applied.  The walk builds each block when it first reaches it,
-and on request skips every chain ending in exponent 1: its transpose has no
-positive weights.
+Counting and enumeration share one option table, built in one pass per
+system (cached for the last): the *valid* blocks as raw fields, each group
+already in canonical order, counted per cell.  Every set partition of table
+blocks is a representation: the count is a subset sum over the cell counts
+and builds no block, and the walk over partitions yields them lazily in
+canonical order (by the (kind value, variables, exponents) of each block,
+in the polynomial's block order), validating each one as an independent
+check of the rules it applied.  The walk builds each block when it first
+reaches it, and on request skips every chain ending in exponent 1: its
+transpose has no positive weights.
 """
 
 from __future__ import annotations
@@ -52,33 +51,25 @@ _KINDS = (FERMAT, CHAIN, CYCLE)
 
 
 @lru_cache(maxsize=1)
-def _partners(ws: WeightSystem) -> tuple[list[dict[int, int]], list[int]]:
+def _partners(ws: WeightSystem) -> tuple[list[dict[int, int]], list[int], list[dict[int, int]]]:
     """The monomials each variable may own.  ``partners[v][j]`` is the
     exponent a of x_v^a x_j, (d - w_j) / w_v, for each j != v where that is
-    a positive integer; ``heads[v]`` is the exponent of x_v^a alone, d / w_v
-    where that is an integer >= 2, and 0 where v cannot be a head.  Cached
-    for the last system, so the table and the chain-cycle pick of one batch
-    row share it."""
+    a positive integer, by ascending j; ``heads[v]`` is the exponent of x_v^a
+    alone, d / w_v where that is an integer >= 2, or 0; ``pickers[j][v]`` is
+    ``partners[v][j]`` by descending v.  Cached for the last system, so the
+    table and the chain-cycle pick of one batch row share it."""
     d, w = ws.degree, ws.weights
-    rests = [d - x for x in w]
     partners: list[dict[int, int]] = [{} for _ in w]
+    pickers: list[dict[int, int]] = [{} for _ in w]
+    down = [*enumerate(w)][::-1]
     # loops, not comprehensions, which cost a call each before Python 3.12
-    for v, x in enumerate(w):
-        row = partners[v]
-        for j, r in enumerate(rests):
-            if r % x == 0 and r > 0 and j != v:
-                row[j] = r // x
-    return partners, [d // x if d % x == 0 and d >= 2 * x else 0 for x in w]
-
-
-def _pickers(partners: list[dict[int, int]]) -> list[dict[int, int]]:
-    """The partner map inverted: ``pickers[j][v]`` is ``partners[v][j]``, for
-    walks that go from a partner to the variables that may pick it."""
-    pickers: list[dict[int, int]] = [{} for _ in partners]
-    for v, row in enumerate(partners):
-        for j, a in row.items():
-            pickers[j][v] = a
-    return pickers
+    for j, x in enumerate(w):
+        r = d - x
+        if r > 0:
+            for v, y in down:
+                if r % y == 0 and v != j:
+                    pickers[j][v] = partners[v][j] = r // y
+    return partners, [d // x if d % x == 0 and d >= 2 * x else 0 for x in w], pickers
 
 
 def _degenerate(cycle: tuple[int, ...] | list[int]) -> bool:
@@ -88,100 +79,99 @@ def _degenerate(cycle: tuple[int, ...] | list[int]) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _option_table(ws: WeightSystem) -> tuple[dict[int, list[tuple]], int]:
-    """The valid blocks of the data as raw fields, and the number of
-    representations they make.  One walk lists the (variables, exponents,
-    mask) of each block under its key rank * n + first variable and counts
-    the blocks of each cell by its variable bitmask; the count is a subset
-    sum over those cell counts, so it builds no block."""
+def _option_table(ws: WeightSystem) -> tuple[list[tuple], int, int]:
+    """The valid blocks in walk order, the number of entries and of
+    representations.  A group is its key (rank * n + first variable), that
+    variable's bit, the variables of larger keys' groups, its kind, and its
+    entries in canonical order as raw (mask, slot, variables, exponents)
+    fields, twice: all, then those with a transposable dual.  ``slot`` lets a
+    walk build each Block once; the count sums per-cell block counts."""
     n = ws.n_vars
-    groups: dict[int, list[tuple]] = {}
+    partners, heads, pickers = _partners(ws)
+    # per rank, each group's (first variable, entries, transposable, cover)
+    found: list[list[tuple]] = [[], [], []]
+    # cells[bitmask]: the cell's blocks, counted as found, grouped once below
     cells: dict[int, int] = {}
-    partners, heads = _partners(ws)
-    pickers = _pickers(partners)
-
-    # a path of at least two variables, its bitmask, and the head's exponent
-    # followed by the exponents (d - w_prev) / w_cur along the path: a path
-    # from a head, as it stands, is a chain.  A path from a variable that
-    # heads no chain visits only larger ones: it can only close into a cycle
-    # pinned at that variable
-    paths = []
+    slots = 0
     for v, a in enumerate(heads):
+        bit = 1 << v
         if a:
-            groups[v] = [((v,), (a,), 1 << v)]
-            cells[1 << v] = 1
-        for nxt, exp in pickers[v].items():
-            if a or nxt > v:
-                paths.append(((v, nxt), 1 << v | 1 << nxt, (a, exp)))
-    while paths:
-        path, mask, exps = paths.pop()
-        head, last = path[0], path[-1]
-        if heads[head]:
-            groups.setdefault(n + head, []).append((path, exps, mask))
-            cells[mask] = cells.get(mask, 0) + 1
-        # read backwards from the head, a path that closes is a cycle; one
-        # that passed a variable below the head is pinned at that one instead
-        if last in partners[head] and mask & -mask == 1 << head:
-            cycle = (partners[head][last], *exps[:0:-1])
-            if not _degenerate(cycle):
-                groups.setdefault(2 * n + head, []).append((path[:1] + path[:0:-1], cycle, mask))
+            # a path from the head through variables that may pick the last is
+            # its Fermat block alone, then a chain, exponents (d - w_prev) / w_cur;
+            # pickers come by descending v, so paths pop in lexicographic order
+            chains, cover, ends_in_one = [], 0, False
+            paths = [((v,), bit, (a,))]
+            while paths:
+                path, mask, exps = paths.pop()
+                chains.append((mask, slots, path, exps))
+                ends_in_one |= exps[-1] == 1
+                cover |= mask
+                slots += 1
                 cells[mask] = cells.get(mask, 0) + 1
-        for nxt, exp in pickers[last].items():
-            if not mask >> nxt & 1 and (heads[head] or nxt > head):
-                paths.append((path + (nxt,), mask | 1 << nxt, exps + (exp,)))
+                for nxt, exp in pickers[path[-1]].items():
+                    if not mask >> nxt & 1:
+                        paths.append((path + (nxt,), mask | 1 << nxt, exps + (exp,)))
+            fermat = [chains.pop(0)]
+            found[0].append((v, fermat, fermat, bit))
+            if chains:
+                # a chain ending in x^1 transposes to one headed by x^1, so the
+                # dual's weights are w_head = d, then (d - w_head) / a = 0: its
+                # checked_dual raises NonPositiveWeights, which a batch row skips
+                transposable = [entry for entry in chains if entry[3][-1] > 1] if ends_in_one else chains
+                found[1].append((v, chains, transposable, cover))
+        # a path from v along partners above v that closes back onto v is a
+        # cycle pinned at v, in block order; pushed by descending partner, the
+        # paths pop in lexicographic order
+        paths = []
+        for nxt, exp in reversed(partners[v].items()):
+            if nxt > v:
+                paths.append(((v, nxt), bit | 1 << nxt, (exp,)))
+        if not paths:
+            continue
+        closers, cycles, cover = pickers[v], [], 0
+        while paths:
+            path, mask, exps = paths.pop()
+            last = path[-1]
+            if last in closers:
+                cycle = exps + (closers[last],)
+                if not _degenerate(cycle):
+                    cycles.append((mask, slots, path, cycle))
+                    cover |= mask
+                    slots += 1
+                    cells[mask] = cells.get(mask, 0) + 1
+            for nxt, exp in reversed(partners[last].items()):
+                if nxt > v and not mask >> nxt & 1:
+                    paths.append((path + (nxt,), mask | 1 << nxt, exps + (exp,)))
+        if cycles:
+            found[2].append((v, cycles, cycles, cover))
+    # one pass by descending key gives each group the cover of those above
+    # it; canonical order compares kind values: chains, cycles, then Fermat
+    entries, above = [], 0
+    for rank in (2, 1, 0):
+        for v, group, transposable, cover in reversed(found[rank]):
+            entries.append((rank * n + v, 1 << v, above, _KINDS[rank], (group, transposable)))
+            above |= cover
+    entries.reverse()
+    entries = entries[len(found[0]):] + entries[:len(found[0])]
 
     # ways[m]: the partitions of the variables of m into table cells, each
     # extended by the cells holding the lowest variable it leaves out
-    by_low: dict[int, list[tuple[int, int]]] = {}
+    by_low: dict[int, list[tuple[int, int]]] = {1 << v: [] for v in range(n)}
     for cell, size in cells.items():
-        by_low.setdefault(cell & -cell, []).append((cell, size))
+        by_low[cell & -cell].append((cell, size))
     full = (1 << n) - 1
     ways = [1] + [0] * full
     for m in range(full):
         if ways[m]:
-            for cell, size in by_low.get(~m & (m + 1), ()):
+            for cell, size in by_low[~m & (m + 1)]:
                 if not cell & m:
                     ways[m | cell] += ways[m] * size
-    return groups, ways[full]
+    return entries, slots, ways[full]
 
 
 def count_representations(ws: WeightSystem) -> int:
-    """The number of invertible polynomials of the data, summed once per
-    system; builds none."""
-    return _option_table(ws)[1]
-
-
-@lru_cache(maxsize=1)
-def _walk_order(ws: WeightSystem) -> tuple[list[tuple], int]:
-    """The table's groups in the order the walk tries them, and the number of
-    table entries.  Each group is its key, its first variable's bit, the
-    variables the groups of larger keys cover, its kind, and its entries in
-    canonical order as raw (mask, slot, variables, exponents) fields, twice:
-    all of them, then only those with a transposable dual.  ``slot`` numbers
-    the entries, so a walk can build each Block once."""
-    n = ws.n_vars
-    groups = _option_table(ws)[0]
-    entries, above, slots = [], 0, 0
-    for k in sorted(groups, reverse=True):
-        kind = _KINDS[k // n]
-        # a chain ending in x^1 transposes to one headed by x^1, so the dual's
-        # weight ray is w_head = d, then (d - w_head) / a = 0: checked_dual
-        # raises NonPositiveWeights on every polynomial holding such a chain,
-        # and a batch row passes over those, so skipping them changes nothing
-        chains = kind is CHAIN
-        group, dualizable, cover = [], [], 0
-        for vs, es, mask in sorted(groups[k]):
-            entry = (mask, slots, vs, es)
-            group.append(entry)
-            if es[-1] > 1 or not chains:
-                dualizable.append(entry)
-            cover |= mask
-            slots += 1
-        entries.append((k, 1 << k % n, above, kind, (group, dualizable)))
-        above |= cover
-    # the canonical order compares kinds by value: chains, cycles, then Fermat (keys below n)
-    entries.sort(key=lambda entry: (entry[0] < n, entry[0]))
-    return entries, slots
+    """The number of invertible polynomials of the data; builds none."""
+    return _option_table(ws)[2]
 
 
 def iter_representations(ws: WeightSystem, *, transposable: bool = False) -> Iterator[InvertiblePolynomial]:
@@ -189,7 +179,7 @@ def iter_representations(ws: WeightSystem, *, transposable: bool = False) -> Ite
     ``transposable``, only those whose transpose is valid (no chain ends in
     exponent 1), which are all that can have a dual.  Each Block is built
     when the walk first reaches it."""
-    n, (entries, slots) = ws.n_vars, _walk_order(ws)
+    n, (entries, slots, _) = ws.n_vars, _option_table(ws)
     # a module-level recursion: a nested one would close over itself, and the
     # cycle would keep its blocks alive until the cyclic collector ran
     yield from _walk(n, entries, [None] * slots, transposable, (1 << n) - 1, -1, ())
@@ -235,7 +225,7 @@ def has_invertible_representation(ws: WeightSystem) -> bool:
     polynomial: degenerate data with hundreds of thousands of
     representations answers at its first one."""
     n = ws.n_vars
-    partners, heads = _partners(ws)
+    partners, heads, _ = _partners(ws)
     # the variables with the fewest options go first, so a dead end shows
     # before the search branches on variables with many
     order = sorted(range(n), key=lambda v: (heads[v] > 0) + len(partners[v]))
@@ -286,13 +276,24 @@ def _closes_degenerate_cycle(partner: list[int | None], exps: list[int], v: int)
 def find_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
     """The representation with a 2-chain on variables 0, 1 and a 3-cycle on
     2, 3, 4 with the smallest per-variable exponent tuple (then the first in
-    canonical order).  Its at most two chains and two cycles are read from
-    the partner rule; a 3-cycle is odd, so each of them is valid, and only
-    the winner's two blocks are built.  Raises :class:`NoRepresentation`
-    when no such polynomial matches."""
+    canonical order).  Raises :class:`NoRepresentation` when no such
+    polynomial matches."""
+    poly = _chain_cycle(ws)
+    if poly is None:
+        if ws.n_vars != 5:
+            raise NoRepresentation("chain-cycle search expects a five-variable system")
+        raise NoRepresentation(f"no chain-cycle representation for {ws}")
+    return poly
+
+
+def _chain_cycle(ws: WeightSystem) -> InvertiblePolynomial | None:
+    """:func:`find_chain_cycle`'s pick, or None where it raises, so a batch
+    row's miss formats no error.  Its at most two chains and two cycles come
+    from the partner rule; a 3-cycle is odd, so each is valid, and only the
+    winner's two blocks are built."""
     if ws.n_vars != 5:
-        raise NoRepresentation("chain-cycle search expects a five-variable system")
-    partners, heads = _partners(ws)
+        return None
+    partners, heads, _ = _partners(ws)
     # (per-variable exponents, variables, exponents) of each chain
     # x_h^a + x_h x_t^b, and of each cycle x_2^a x_s + x_s^b x_t + x_t^c x_2,
     # rotated to start at 2 as a Block stores it
@@ -306,11 +307,10 @@ def find_chain_cycle(ws: WeightSystem) -> InvertiblePolynomial:
             a, b, c = partners[2][s], partners[s][t], partners[t][2]
             cycles.append(((a, b, c) if s == 3 else (a, c, b), (2, s, t), (a, b, c)))
     if not chains or not cycles:
-        raise NoRepresentation(f"no chain-cycle representation for {ws}")
+        return None
     # the cells are disjoint and two chains never tie on exponents (the one
     # headed at 1 gives x_0 the smaller one), so the smallest per-variable
     # exponent tuple, then canonical order, picks the chain and the cycle apart
     _, chain_vs, chain_es = min(chains)
     _, cycle_vs, cycle_es = min(cycles)
-    blocks = (Block(CHAIN, chain_vs, chain_es), Block(CYCLE, cycle_vs, cycle_es))
-    return InvertiblePolynomial(5, blocks)
+    return InvertiblePolynomial(5, (Block(CHAIN, chain_vs, chain_es), Block(CYCLE, cycle_vs, cycle_es)))

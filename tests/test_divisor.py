@@ -218,6 +218,13 @@ def test_delta_eval_pole():
         D({1: 1, 2: -1}).delta_eval(-1)
 
 
+def test_delta_eval_cancels_vanishing_factors_of_net_multiplicity_zero():
+    # (t - 1) / (t^2 - 1) = 1 / (t + 1): at t = 1 both factors vanish, each is
+    # replaced by its derivative j * t^(j - 1), and 1^1 * 2^-1 = 1/2
+    assert D({1: 1, 2: -1}).delta_eval(1) == Fraction(1, 2)
+    assert D({2: 1, 1: -1}).delta_eval(1) == 2
+
+
 def test_delta_eval_matches_polynomial_oracle_on_random_links():
     from generators import random_weight_system
 

@@ -12,6 +12,7 @@ from bhlink import (
     bh_dual,
     chain_cycle_closed_forms,
     classify,
+    enumerate_representations,
     find_chain_cycle,
     homology_profile,
     is_twin,
@@ -90,8 +91,6 @@ def test_bh_dual_chain_cycle_929():
 
 def test_bh_dual_bp_chain():
     ws = WeightSystem((15, 35, 15, 9, 32), 105)
-    from bhlink import enumerate_representations
-
     bp_chain = [p for p in enumerate_representations(ws) if classify(p) == "BP-Chain"]
     assert bp_chain
     _, dual_ws = bh_dual(bp_chain[0])
@@ -99,8 +98,6 @@ def test_bh_dual_bp_chain():
 
 
 def test_bh_dual_bp_self_dual():
-    from bhlink import enumerate_representations
-
     ws = WeightSystem((1, 1, 1, 1, 1), 2)
     bp = [p for p in enumerate_representations(ws) if classify(p) == "BP"]
     dual_poly, dual_ws = bh_dual(bp[0])
@@ -152,6 +149,19 @@ def test_closed_forms_precondition():
     wrong = InvertiblePolynomial(5, (Block(BlockKind.CHAIN, (0, 1), (3, 3)), cycle))
     with pytest.raises(PreconditionFailed, match=r"tail exponent 3 != \(m2 - 1\)/v1 = \(3 - 1\)/1"):
         chain_cycle_closed_forms(wrong, ws)
+
+
+def test_closed_forms_refuse_data_not_of_index_one():
+    # a 2-chain plus 3-cycle representation of data with Fano index 54: its
+    # split passes, then the index-one check names the sum and d + 1
+    ws = WeightSystem((25, 4, 25, 24, 76), 100)
+    poly = InvertiblePolynomial(
+        5, (Block(BlockKind.CHAIN, (0, 2), (4, 3)), Block(BlockKind.CYCLE, (1, 4, 3), (6, 1, 4)))
+    )
+    assert poly in enumerate_representations(ws)
+    with pytest.raises(PreconditionFailed) as refused:
+        chain_cycle_closed_forms(poly, ws)
+    assert str(refused.value) == "closed forms need index one: weight sum 154 != d + 1 = 101"
 
 
 def test_closed_forms_read_the_chain_head_off_the_polynomial():
@@ -311,6 +321,24 @@ def test_pipeline_budget_refuses_before_building(monkeypatch):
     monkeypatch.setattr(duality, "homology_profile", unexpected)
     with pytest.raises(PreconditionFailed, match=f"63840 .*budget of {duality.PIPELINE_BUDGET}"):
         pipeline(WeightSystem((1,) * 7, 3))
+
+
+def test_pipeline_budget_boundary(monkeypatch):
+    # a golden source with c = 4 representations: a budget of exactly c
+    # reports all of them, one of c - 1 refuses before building any
+    ws = WeightSystem((73, 73, 95, 45, 80), 365)
+    count = count_representations(ws)
+    assert count == 4
+    monkeypatch.setattr(duality, "PIPELINE_BUDGET", count)
+    reports = pipeline(ws)
+    assert [r.source_polynomial for r in reports] == enumerate_representations(ws)
+    assert len(reports) == count
+    monkeypatch.setattr(duality, "PIPELINE_BUDGET", count - 1)
+    with pytest.raises(PreconditionFailed) as refused:
+        pipeline(ws)
+    assert str(refused.value) == (
+        "(73, 73, 95, 45, 80; d=365) has 4 invertible representations, over the pipeline budget of 3"
+    )
 
 
 def test_pipeline_whole_fixture():

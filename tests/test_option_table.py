@@ -19,8 +19,8 @@ from bhlink.fixture import ROWS
 from bhlink.polynomial import Block, BlockKind, InvertiblePolynomial
 from bhlink.representation import (
     _KINDS,
+    _chain_cycle,
     _option_table,
-    _walk_order,
     count_representations,
     iter_representations,
 )
@@ -44,15 +44,18 @@ NAMED = (
 def table_blocks(ws):
     """The raw-field option table as Blocks by cell bitmask, checking that
     each entry sits under its own key and its mask covers its variables."""
-    groups, _ = _option_table(ws)
+    entries, slots, _ = _option_table(ws)
     n, blocks = ws.n_vars, {}
-    for key, group in groups.items():
-        for variables, exponents, mask in group:
-            block = Block(_KINDS[key // n], variables, exponents)
+    for key, _, _, kind, (group, _) in entries:
+        for mask, _, variables, exponents in group:
+            block = Block(kind, variables, exponents)
             rank, first = block._sort_key()
+            assert kind is _KINDS[key // n]
             assert key == rank * n + first
             assert mask == sum(1 << v for v in variables)
             blocks.setdefault(mask, []).append(block)
+    # every entry has its own slot
+    assert sorted(slot for *_, (group, _) in entries for _, slot, _, _ in group) == list(range(slots))
     return blocks
 
 
@@ -61,6 +64,14 @@ def chain_cycle_outcome(fn, arg):
         return fn(arg)
     except NoRepresentation:
         return NoRepresentation
+
+
+def assert_batch_pick_agrees(ws):
+    """The batch row's pick returns find_chain_cycle's polynomial, and None
+    exactly where find_chain_cycle raises."""
+    found = chain_cycle_outcome(find_chain_cycle, ws)
+    assert _chain_cycle(ws) == (None if found is NoRepresentation else found)
+    return found
 
 
 def assert_matches_oracle(ws):
@@ -76,7 +87,7 @@ def assert_matches_oracle(ws):
     assert all(len(set(options)) == len(options) for options in table_blocks(ws).values())
     assert has_invertible_representation(ws) == bool(expected)
     choice = chain_cycle_outcome(oracle_chain_cycle, ws)
-    assert chain_cycle_outcome(find_chain_cycle, ws) == choice
+    assert assert_batch_pick_agrees(ws) == choice
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -242,13 +253,40 @@ def test_existence_search_and_chain_cycle_pick_on_random_weights(weights, data):
     # uniformly random data: most of it has no representation
     ws = WeightSystem(weights, data.draw(st.integers(max(weights) + 1, 36)))
     assert_existence_matches(ws)
-    assert chain_cycle_outcome(find_chain_cycle, ws) == chain_cycle_outcome(oracle_chain_cycle, ws)
+    assert assert_batch_pick_agrees(ws) == chain_cycle_outcome(oracle_chain_cycle, ws)
 
 
 def test_chain_cycle_pick_on_golden_sources():
     for row in ROWS:
         ws = WeightSystem(row.source, row.source_degree)
         assert find_chain_cycle(ws) == oracle_chain_cycle(ws), row.source
+        assert_batch_pick_agrees(ws)
+
+
+def test_chain_cycle_pick_orientation():
+    # w_3 = w_4, so both 3-cycles on (2, 3, 4) are valid and give x_2 the
+    # same exponent; (2, 4, 3) gives x_3 exponent 1 and x_4 exponent 3,
+    # (2, 3, 4) the reverse, so the per-variable tuple (1, 1, 3) < (1, 3, 1)
+    # picks (2, 4, 3)
+    ws = WeightSystem((4, 2, 9, 3, 3), 12)
+    expected = InvertiblePolynomial(
+        5, (Block(BlockKind.CHAIN, (0, 1), (3, 4)), Block(BlockKind.CYCLE, (2, 4, 3), (1, 3, 1)))
+    )
+    assert find_chain_cycle(ws) == _chain_cycle(ws) == oracle_chain_cycle(ws) == expected
+    assert str(expected) == "z0^3 + z0*z1^4 + z4*z2 + z2*z3 + z3*z4^3"
+
+
+def test_chain_cycle_refusal_texts():
+    # the batch row's pick returns None on both; find_chain_cycle keeps its texts
+    bp_chain = WeightSystem((15, 35, 15, 9, 32), 105)
+    with pytest.raises(NoRepresentation) as miss:
+        find_chain_cycle(bp_chain)
+    assert str(miss.value) == "no chain-cycle representation for (15, 35, 15, 9, 32; d=105)"
+    six = WeightSystem((12, 12, 14, 21, 21, 24), 84)
+    with pytest.raises(NoRepresentation) as wide:
+        find_chain_cycle(six)
+    assert str(wide.value) == "chain-cycle search expects a five-variable system"
+    assert _chain_cycle(bp_chain) is _chain_cycle(six) is None
 
 
 def test_analyze_and_verify_table_build_no_table(monkeypatch, capsys):
@@ -324,15 +362,26 @@ def test_batch_row_builds_no_skipped_block(monkeypatch):
     ws = WeightSystem((1,) * 5, 2)
     skipped = {
         Block(BlockKind.CHAIN, vs, es)
-        for k, group in _option_table(ws)[0].items()
-        if _KINDS[k // ws.n_vars] is BlockKind.CHAIN
-        for vs, es, _ in group
+        for _, _, _, kind, (group, _) in _option_table(ws)[0]
+        if kind is BlockKind.CHAIN
+        for _, _, vs, es in group
         if es[-1] == 1
     }
     pick = find_chain_cycle(ws)
-    _walk_order.cache_clear()
+    _option_table.cache_clear()
     blocks = constructions(monkeypatch, Block)
     row = cli.process_batch_row({"w0": "1", "w1": "1", "w2": "1", "w3": "1", "w4": "1", "d": "2"})
     assert row["error"] == "" and row["dual_w"]
     assert len(skipped) > 1
     assert skipped & set(blocks) <= set(pick.blocks)
+
+
+def test_batch_row_dualizes_the_chain_cycle_pick_first():
+    # the pick heads its 2-chain at x_1; the first transposable representation
+    # in canonical order heads it at x_0, and its dual lists w_0, w_1 swapped
+    ws = WeightSystem((73, 73, 95, 45, 80), 365)
+    pick = _chain_cycle(ws)
+    assert pick.blocks[0] == Block(BlockKind.CHAIN, (1, 0), (5, 4))
+    assert next(iter_representations(ws, transposable=True)) != pick
+    row = cli.process_batch_row({"w0": "73", "w1": "73", "w2": "95", "w3": "45", "w4": "80", "d": "365"})
+    assert (row["dual_w"], row["dual_d"], row["error"]) == ("365 219 420 200 260", "1460", "")

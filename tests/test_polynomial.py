@@ -194,6 +194,15 @@ def test_validate_even_cycle_degenerate():
     assert ok.validate() == []
 
 
+def test_block_determinants():
+    # a cycle's matrix has determinant prod(e) - (-1)^len: an odd cycle of
+    # ones gives 1 + 1, an even one 1 - 1, singular
+    assert Block(BlockKind.CYCLE, (0, 1, 2), (1, 1, 1)).determinant() == 2
+    assert Block(BlockKind.CYCLE, (0, 1), (1, 1)).determinant() == 0
+    assert Block(BlockKind.CHAIN, (0, 1, 2), (2, 3, 1)).determinant() == 6
+    assert Block(BlockKind.FERMAT, (0,), (5,)).determinant() == 5
+
+
 def test_validate_chain_head_too_small():
     poly = InvertiblePolynomial(2, (Block(BlockKind.CHAIN, (0, 1), (1, 4)),))
     assert CHAIN_HEAD_TOO_SMALL in poly.validate()

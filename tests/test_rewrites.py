@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from bhlink import WeightSystem, cli, expand_link_divisor, invariants, se_certificate, wellformed_space
 from bhlink.errors import NonIntegralExpansion
 from bhlink.fixture import ROWS
-from bhlink.representation import _partners, _pickers, iter_representations
+from bhlink.representation import _partners, iter_representations
 
 from generators import random_weight_system
 from oracles import (
@@ -89,9 +89,11 @@ def test_transpose_matches_reversing_every_block(case):
 @given(systems())
 def test_partner_rule_inverts_to_the_mirrored_steps(case):
     _, ws = case
-    partners, heads = _partners(ws)
-    # the same edges, each picker in the same order
-    assert [list(row.items()) for row in _pickers(partners)] == [list(row.items()) for row in oracle_steps(ws)]
+    partners, heads, pickers = _partners(ws)
+    # the same edges, each partner's pickers in reverse order: the option
+    # table's stack then pops them in ascending order
+    assert [list(row.items())[::-1] for row in pickers] == [list(row.items()) for row in oracle_steps(ws)]
+    assert [sorted(row) for row in partners] == [list(row) for row in partners]
     d = ws.degree
     assert heads == [d // w if d % w == 0 and d >= 2 * w else 0 for w in ws.weights]
 

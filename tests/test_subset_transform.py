@@ -46,7 +46,7 @@ def scaled_k(sheet):
     parity weight 1, 0 on the others."""
     n1 = len(sheet.terms).bit_length() - 1
     return [
-        invariants._inclusion_exclusion(sheet.terms, n1, mask) if (n1 - mask.bit_count()) & 1 else 0
+        invariants._inclusion_exclusion(sheet.terms, mask) if (n1 - mask.bit_count()) & 1 else 0
         for mask in range(len(sheet.terms))
     ]
 
