@@ -3,7 +3,8 @@ golden-table verification.
 
 Exit codes: 0 success, 1 table mismatch, 2 invalid input or unwritable
 output, 3 internal cross-check failure.  The commands raise; :func:`main` alone
-maps each failure to one stderr line and its code.  A command writes all of
+maps each failure to its code and one stderr line, which is dropped where
+stderr cannot take it (``2>&1 | head -1``).  A command writes all of
 its output, then exits 3, not 1, if any item records a cross-check failure.
 """
 
@@ -308,16 +309,6 @@ def process_batch_row(record: dict[str, str]) -> dict[str, str]:
 _ROWS_PER_WORKER = 150
 
 
-def __getattr__(name: str):
-    # the pool, and with it multiprocessing, is imported only by a batch that
-    # forks one; cmd_batch reads it through the module, so a patched class wins
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -365,7 +356,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
         # each gets at least _ROWS_PER_WORKER rows, below which a pool loses
         workers = min(args.jobs, len(records) // _ROWS_PER_WORKER, _available_cpus())
         if workers > 1:
-            with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+            # the pool, and with it multiprocessing, is imported only by a batch that forks one
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(process_batch_row, records, chunksize=8))
         else:
             results = [process_batch_row(record) for record in records]
@@ -561,18 +555,18 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
-def _silence_failed_stdout() -> None:
-    """Point a stdout that fails again at devnull, so the flush at exit cannot
-    fail a second time.  A stdout that flushes, such as the caller's after the
-    output CSV failed, or one with no descriptor, such as a StringIO, is left
-    as it is."""
+def _silence_failed(stream) -> None:
+    """Point a stream that fails again at devnull, so the flush at exit cannot
+    fail a second time.  A stream that flushes, such as the caller's stdout
+    after the output CSV failed, or one with no descriptor, such as a
+    StringIO, is left as it is."""
     try:
-        sys.stdout.flush()
+        stream.flush()
         return
     except OSError:
         pass
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (OSError, ValueError):
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -593,21 +587,23 @@ def main(argv: list[str] | None = None) -> int:
                 code = globals()[args.func](args)
         finally:
             sys.stdout.flush()  # the output comes first; a failed flush is a write failure
+        return code
     except OSError as exc:
         # stdout was closed early (say, piped into head) or an output is full
-        _silence_failed_stdout()
+        _silence_failed(sys.stdout)
+        code, line = 2, f"error: cannot write output: {exc.strerror or exc}"
         if isinstance(exc, BrokenPipeError):
-            print("error: stdout was closed before all output was written", file=sys.stderr)
-        else:
-            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+            line = "error: stdout was closed before all output was written"
     except CrossCheckFailed as exc:
         # bhlink computed something wrong; the input is not at fault
-        print(f"cross-check failure: {exc}", file=sys.stderr)
-        return 3
+        code, line = 3, f"cross-check failure: {exc}"
     except (_InputError, BhlinkError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"error: {exc}"
+    # a stderr on the pipe of a stdout whose reader is gone is silenced too: the code stands
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _silence_failed(sys.stderr)
     return code
 
 

@@ -60,14 +60,9 @@ class CyclotomicDivisor:
         clean: dict[int, int] = {}
         if terms:
             for j, a in terms.items():
-                # the common case, int keys and coefficients, is kept as given
-                if type(j) is int and type(a) is int and j >= 1:
-                    if a:
-                        clean[j] = a
-                    continue
                 if j < 1:
                     raise ValueError(f"divisor index must be >= 1, got {j}")
-                # other integral values, such as True or Fraction(4, 2), become int
+                # integral values, such as True or Fraction(4, 2), become int
                 if getattr(a, "denominator", None) != 1:
                     raise ValueError(f"coefficient of L{j} must be an integer, got {a!r}")
                 if a != 0:

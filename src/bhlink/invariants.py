@@ -31,10 +31,8 @@ sequence with one entry per copy is ever built.  The cost is 2^(n+1) terms
 plus 2^|S| for each subset S of parity weight 1 with c(S) > 1, at most
 3^(n+1); on 1,200 generated systems of 5 to 8 weights it is at most half
 the (n+1) 2^(n+1) steps of a Mobius butterfly over both arrays (worst 680
-against 2,048 at 8 weights).  Unlike a c-recursion walk, which divides by
-the c of every proper submask of every mask, it visits the submasks of a
-few masks only.  It does not depend on r = floor(max k), which grows like
-(d/w)^(n-1).
+against 2,048 at 8 weights).  It does not depend on r = floor(max k),
+which grows like (d/w)^(n-1).
 
 The torsion recursion is a theorem for chain type, cycle type and iterated
 Thom-Sebastiani sums of these (hence for every invertible polynomial) and a
@@ -129,10 +127,8 @@ class TorsionWorksheet:
     @cached_property
     def r(self) -> int:
         n1 = len(self.terms).bit_length() - 1
-        return max(
-            _inclusion_exclusion(self.terms, mask) if (n1 - mask.bit_count()) & 1 else 0
-            for mask in range(len(self.terms))
-        ) // self.scale
+        # k is 0 on the masks of parity weight 0
+        return max(0, *(_inclusion_exclusion(self.terms, mask) for mask in _odd_masks(n1))) // self.scale
 
 
 class DiffeoType(str, Enum):

@@ -99,12 +99,11 @@ def _option_table(ws: WeightSystem) -> tuple[list[tuple], int, int]:
             # a path from the head through variables that may pick the last is
             # its Fermat block alone, then a chain, exponents (d - w_prev) / w_cur;
             # pickers come by descending v, so paths pop in lexicographic order
-            chains, cover, ends_in_one = [], 0, False
+            chains, cover = [], 0
             paths = [((v,), bit, (a,))]
             while paths:
                 path, mask, exps = paths.pop()
                 chains.append((mask, slots, path, exps))
-                ends_in_one |= exps[-1] == 1
                 cover |= mask
                 slots += 1
                 cells[mask] = cells.get(mask, 0) + 1
@@ -117,7 +116,7 @@ def _option_table(ws: WeightSystem) -> tuple[list[tuple], int, int]:
                 # a chain ending in x^1 transposes to one headed by x^1, so the
                 # dual's weights are w_head = d, then (d - w_head) / a = 0: its
                 # checked_dual raises NonPositiveWeights, which a batch row skips
-                transposable = [entry for entry in chains if entry[3][-1] > 1] if ends_in_one else chains
+                transposable = [entry for entry in chains if entry[3][-1] > 1]
                 found[1].append((v, chains, transposable, cover))
         # a path from v along partners above v that closes back onto v is a
         # cycle pinned at v, in block order; pushed by descending partner, the
@@ -226,11 +225,9 @@ def has_invertible_representation(ws: WeightSystem) -> bool:
     representations answers at its first one."""
     n = ws.n_vars
     partners, heads, _ = _partners(ws)
-    # the variables with the fewest options go first, so a dead end shows
-    # before the search branches on variables with many
+    # the fewest options first, so a dead end shows before the search branches:
+    # (1,1,1,1,1,1,1,4; 10) is refused at the first _place call, not the 265,561st
     order = sorted(range(n), key=lambda v: (heads[v] > 0) + len(partners[v]))
-    if not heads[order[0]] and not partners[order[0]]:
-        return False
     # partner[v]: None while v is not placed, -1 for a head
     return _place(order, partners, heads, [None] * n, [0] * n, 0, 0)
 

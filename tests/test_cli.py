@@ -1,5 +1,6 @@
 """Command-line surface: analyze, pipeline, batch, verify-table."""
 
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -771,6 +772,32 @@ def test_closed_stdout_exit_2():
     assert err == "error: stdout was closed before all output was written\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-table"], ["analyze", "-w", "15,35,14,7,35", "-d", "105"], ["analyze", "-w", "1,2,3", "-d", "10"]],
+)
+def test_stderr_on_the_closed_stdout_pipe_exit_2(argv):
+    # `2>&1 | true`: stdout and stderr are one pipe whose reader is gone, so
+    # the error line cannot be written either; the exit code still stands
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bhlink.cli", *argv],
+            stdout=write, stderr=write, env=_subprocess_env(), timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+
+
+def test_cross_check_exit_3_when_stderr_fails(capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "milnor_number", _plus_one(invariants.milnor_number))
+    monkeypatch.setattr(sys, "stderr", _UnwritableStdout(BrokenPipeError(errno.EPIPE, "Broken pipe")))
+    assert main(["analyze", "-w", "15,35,14,7,35", "-d", "105"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def _write_rows(path, systems):
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -798,7 +825,8 @@ class _RecordingPool:
 
 
 def test_batch_pool_capped_by_rows_and_cpus(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    # cmd_batch imports the pool class where it forks, so the patch goes on its module
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
     systems = [(row.source, row.source_degree) for row in ROWS[:6]]
@@ -1130,8 +1158,7 @@ def test_full_output_csv_leaves_the_callers_stdout_open(tmp_path):
 
 
 def test_commands_without_a_pool_do_not_import_it(tmp_path):
-    # a fresh interpreter: only a batch that forks a pool imports it, and the
-    # name still resolves on the module
+    # a fresh interpreter: only a batch that forks a pool imports it
     src = tmp_path / "in.csv"
     _write_rows(src, [((15, 35, 14, 7, 35), 105), ((73, 73, 95, 45, 80), 365)])
     script = (
@@ -1144,15 +1171,17 @@ def test_commands_without_a_pool_do_not_import_it(tmp_path):
         "             cli.main(['verify-table']),\n"
         "             cli.main(['batch', sys.argv[1], sys.argv[2], '--jobs', '2'])]\n"
         "imported = 'concurrent.futures.process' in sys.modules\n"
-        "from concurrent.futures.process import ProcessPoolExecutor\n"
-        "print(json.dumps([codes, imported, cli.ProcessPoolExecutor is ProcessPoolExecutor]))\n"
+        "cli._ROWS_PER_WORKER = 1\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes.append(cli.main(['batch', sys.argv[1], sys.argv[2], '--jobs', '2']))\n"
+        "print(json.dumps([codes, imported, 'concurrent.futures.process' in sys.modules]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(src), str(tmp_path / "out.csv")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=120,
     )
     assert proc.stderr.decode() == ""
-    assert json.loads(proc.stdout) == [[0, 0, 0, 0], False, True]
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0], False, True]
 
 
 def test_cross_check_line_follows_the_output_in_a_merged_stream():
@@ -1256,7 +1285,7 @@ def test_batch_two_worker_pool_matches_serial_on_permuted_duplicates(tmp_path, c
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
     monkeypatch.setattr(cli, "_ROWS_PER_WORKER", 1)
     rng = random.Random(3)

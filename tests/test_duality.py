@@ -1,5 +1,6 @@
 """Transpose duals, closed forms, twins and Einstein certification."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from bhlink.errors import BhlinkError, CrossCheckFailed, PreconditionFailed
 from bhlink.polynomial import Block, BlockKind, InvertiblePolynomial
 from bhlink.representation import count_representations
 
-from generators import index_one_chain_cycles, permute_instance
+from generators import index_one_chain_cycles, permute_instance, theorem_population
 from test_polynomial import chain_cycle_881
 
 
@@ -343,16 +344,22 @@ def test_pipeline_budget_boundary(monkeypatch):
 
 def test_pipeline_whole_fixture():
     # runs the internal closed-form assertion on all 97 chain-cycle
-    # representations across the golden rows
+    # representations across the golden rows; every source is an index-one
+    # rational homology sphere, so each dual keeps the source's SE verdict
     from bhlink.fixture import ROWS
 
+    n_reports = 0
     for row in ROWS:
         ws = WeightSystem(row.source, row.source_degree)
         reports = pipeline(ws)
         assert reports
         source = homology_profile(ws)
+        assert source.b3 == 0 and ws.fano_index() == 1
+        verdict = se_certificate(ws).verdict
+        n_reports += len(reports)
         for r in reports:
             assert r.error is None, (row.source, str(r.source_polynomial), r.error)
+            assert r.dual_verdict.verdict is verdict, (row.source, str(r.source_polynomial))
             label = classify(r.source_polynomial)
             if label == "Chain-Cycle":
                 # duality changes degree and Milnor number here, never a twin
@@ -360,6 +367,41 @@ def test_pipeline_whole_fixture():
                 assert r.dual_profile.b3 == 0
             elif label in ("Cycle", "BP-Cycle", "Cycle-Cycle"):
                 assert is_twin(source, r.dual_profile)
+    assert n_reports == 194
+
+
+def test_se_verdict_kept_by_the_dual_of_an_index_one_rhs_source():
+    # a rule derived and checked here, not quoted from the paper: for a
+    # rational homology sphere source of index one, the dual's SE verdict is
+    # the source's.  The population holds both verdicts
+    verdicts = Counter()
+    for poly, ws in theorem_population():
+        assert homology_profile(ws).b3 == 0 and ws.fano_index() == 1, ws
+        verdict = se_certificate(ws).verdict
+        assert se_certificate(bh_dual(poly)[1]).verdict is verdict, (ws, str(poly))
+        verdicts[verdict] += 1
+    assert verdicts == {Verdict.SASAKI_EINSTEIN: 985, Verdict.POSITIVE_RICCI_ONLY: 25}
+
+
+@pytest.mark.parametrize(
+    "weights, degree, b3, index, verdict, dual_verdicts",
+    [
+        # index 16: SE, and both duals, (18,63,28,63,21; 189) among them, lose it
+        ((108, 216, 126, 217, 105), 756, 0, 16, Verdict.SASAKI_EINSTEIN, {Verdict.POSITIVE_RICCI_ONLY: 2}),
+        # b3 = 24: not SE, and 10 of its 12 duals are
+        (
+            (10, 4, 5, 6, 6), 30, 24, 1, Verdict.POSITIVE_RICCI_ONLY,
+            {Verdict.SASAKI_EINSTEIN: 10, Verdict.POSITIVE_RICCI_ONLY: 2},
+        ),
+    ],
+)
+def test_se_verdict_moves_off_the_hypotheses(weights, degree, b3, index, verdict, dual_verdicts):
+    # each source drops one hypothesis of the rule above, and its verdict moves
+    ws = WeightSystem(weights, degree)
+    assert (homology_profile(ws).b3, ws.fano_index(), se_certificate(ws).verdict) == (b3, index, verdict)
+    reports = pipeline(ws)
+    assert all(r.error is None for r in reports)
+    assert Counter(r.dual_verdict.verdict for r in reports) == dual_verdicts
 
 
 def test_closed_forms_need_index_one():

@@ -12,6 +12,7 @@ from bhlink import (
     enumerate_representations,
     find_chain_cycle,
     has_invertible_representation,
+    representation,
 )
 from bhlink.duality import checked_dual
 from bhlink.errors import CrossCheckFailed, NonPositiveWeights, NoRepresentation
@@ -120,6 +121,17 @@ def test_existence_check_validates_no_polynomial(monkeypatch):
     for weights, degree in SINGULAR_2_CYCLES:
         assert has_invertible_representation(WeightSystem(weights, degree))
     assert calls == []
+
+
+def test_existence_search_places_the_fewest_options_first(monkeypatch):
+    # x_7 of (1,1,1,1,1,1,1,4; 10) is no head and may pick no partner, so the
+    # search placing it first stops at once; in index order it would place
+    # x_0..x_6 in every way first, 265,561 _place calls
+    calls = []
+    place = representation._place
+    monkeypatch.setattr(representation, "_place", lambda *args: calls.append(args) or place(*args))
+    assert not has_invertible_representation(WeightSystem((1, 1, 1, 1, 1, 1, 1, 4), 10))
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize(

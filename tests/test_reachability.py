@@ -36,8 +36,6 @@ ALLOWED = {
     # the value protocol the tests compare and print divisors with
     "divisor.CyclotomicDivisor.__eq__": "value equality, used by the tests",
     "divisor.CyclotomicDivisor.__repr__": "value repr, used by the tests",
-    # the pool import is lazy: a batch below the pool threshold forks none
-    "cli.__getattr__": "reached only by a batch that forks a pool",
 }
 
 SYSTEMS = [(row.source, row.source_degree) for row in ROWS[:3]] + [
