@@ -1,6 +1,10 @@
 """Command-line surface: single-instance analysis, batch CSV processing and
 golden-table verification.
 
+A plain command line, the command word and then exact option strings, values
+and positionals, is read off a table of the command parser's actions; argparse
+reads any other line and alone writes help, usage and errors.
+
 Exit codes: 0 success, 1 table mismatch, 2 invalid input or unwritable
 output, 3 internal cross-check failure.  The commands raise; :func:`main` alone
 maps each failure to its code and one stderr line, which is dropped where
@@ -528,25 +532,99 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _line_table(command: argparse.ArgumentParser) -> tuple | None:
+    """What :func:`_read_line` needs of a command's parser: each exact option
+    string with its (dest, conversion, value), the positionals' entries in
+    order, the required dests and the namespace argparse starts from.  An
+    entry's conversion is the one argparse applies, or None for a flag, whose
+    value is its const.  None when the parser holds an action other than help,
+    a ``store`` with ``nargs=None`` and no choices, or a ``store_true``, or a
+    str default, which argparse would convert."""
+    options, positionals = {}, []
+    for action in command._actions:
+        if type(action) is argparse._HelpAction:
+            continue  # left out of the table, so a line that asks for help is declined
+        if isinstance(action.default, str) or not (
+            type(action) is argparse._StoreTrueAction
+            or (type(action) is argparse._StoreAction and action.nargs is None and action.choices is None)
+        ):
+            return None
+        convert = command._registry_get("type", action.type, action.type) if action.nargs is None else None
+        entry = (action.dest, convert, action.const)
+        if action.option_strings:
+            options.update(dict.fromkeys(action.option_strings, entry))
+        else:
+            positionals.append(entry)
+    required = frozenset(action.dest for action in command._actions if action.required)
+    # action defaults first, then set_defaults for the dests they leave, as argparse fills them
+    defaults = {
+        **command._defaults,
+        **{a.dest: a.default for a in command._actions if argparse.SUPPRESS not in (a.dest, a.default)},
+    }
+    return options, tuple(positionals), required, defaults
+
+
 @lru_cache(maxsize=1)
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, built once per process, and the subcommand parsers
-    it holds: the choices of the action ``add_subparsers`` returned."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, tuple]]:
+    """The top-level parser, built once per process, the subcommand parsers
+    it holds (the choices of the action ``add_subparsers`` returned) and the
+    :func:`_line_table` of each command whose parser has one."""
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-    return parser, commands
+    tables = {name: _line_table(command) for name, command in commands.items()}
+    return parser, commands, {name: table for name, table in tables.items() if table is not None}
+
+
+def _read_line(tokens: list[str], options, positionals, required, defaults) -> argparse.Namespace | None:
+    """The namespace the command's parser gives ``tokens``, read off its
+    :func:`_line_table`, when every option token is an exact option string in
+    the table, every value is non-empty and does not start with ``-``, each
+    conversion takes its value, the positionals fill exactly and every
+    required dest is seen; a repeated option's last value wins, as in
+    argparse.  None for any other line: help, ``--``, an abbreviation, an
+    ``=`` or attached value, an unknown option, a missing or extra argument,
+    a value a conversion refuses."""
+    values, seen = dict(defaults), set()
+    queue, places = iter(tokens), iter(positionals)
+    for token in queue:
+        if token.startswith("-"):
+            entry = options.get(token)
+            if entry is not None and entry[1] is not None:
+                token = next(queue, "")
+        else:
+            entry = next(places, None)
+        if entry is None:
+            return None
+        dest, convert, value = entry
+        if convert is not None:
+            if not token or token.startswith("-"):
+                return None
+            try:
+                value = convert(token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        values[dest] = value
+        seen.add(dest)
+    return argparse.Namespace(**values) if required <= seen else None
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """Parse a command line once.  argparse's nested parse reads every token
-    twice: the top-level parser classifies them all, then hands those after
-    the command word to that command's parser.  Here that parser alone reads
-    them, and leftovers get the top-level parser's ``unrecognized arguments``
-    error, as in the nested parse.  Help, no arguments and an unknown command
-    take the nested parse."""
+    """Parse a command line once.  A plain line is read off its command's
+    action table by :func:`_read_line`, and argparse does not run.  argparse
+    reads any other line and alone writes help, usage and errors.  Its nested
+    parse reads every token twice: the top-level parser classifies them all,
+    then hands those after the command word to that command's parser.  Here
+    that parser alone reads them, and leftovers get the top-level parser's
+    ``unrecognized arguments`` error, as in the nested parse.  Help, no
+    arguments and an unknown command take the nested parse."""
     argv = sys.argv[1:] if argv is None else argv
-    parser, commands = _parser()
-    command = commands.get(argv[0]) if argv else None
+    parser, commands, tables = _parser()
+    name = argv[0] if argv else None
+    if name in tables:
+        args = _read_line(argv[1:], *tables[name])
+        if args is not None:
+            return args
+    command = commands.get(name)
     if command is None:
         return parser.parse_args(argv)
     args, extras = command.parse_known_args(argv[1:])

@@ -1090,16 +1090,22 @@ def test_help_and_usage_errors_still_exit_through_argparse(capsys):
 
 
 def test_a_command_line_is_parsed_once(capsys, monkeypatch):
-    # the command's own parser reads the tokens; the top-level parser does not
-    parser, commands = cli._parser()
+    # a plain line is read off the action table and no argparse parse runs; a
+    # line the table declines is read once, by the command's own parser; the
+    # top-level parser reads neither
+    parser, commands, _ = cli._parser()
     monkeypatch.setattr(parser, "parse_args", None)
     monkeypatch.setattr(parser, "parse_known_args", None)
     calls = []
     real = commands["analyze"].parse_known_args
     monkeypatch.setattr(commands["analyze"], "parse_known_args", lambda argv: calls.append(argv) or real(argv))
     assert main(["analyze", "-w", "15,35,14,7,35", "-d", "105"]) == 0
-    assert calls == [["-w", "15,35,14,7,35", "-d", "105"]]
-    assert "Z_7^26" in capsys.readouterr().out
+    assert calls == []
+    plain = capsys.readouterr().out
+    assert "Z_7^26" in plain
+    assert main(["analyze", "--weights=15,35,14,7,35", "-d", "105"]) == 0
+    assert calls == [["--weights=15,35,14,7,35", "-d", "105"]]
+    assert capsys.readouterr().out == plain
 
 
 def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):

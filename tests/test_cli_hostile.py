@@ -1,7 +1,7 @@
 """Hostile input to the command line: weight and degree strings, batch CSVs and
 golden-table CSVs with blank, signed, non-integer, huge or misplaced fields,
-and token sequences that the direct parse and argparse's nested parse must
-read alike.
+and token sequences that the direct parse, the action-table reader first, and
+argparse's nested parse must read alike.
 
 Whatever the input, no command ends in a traceback.  A refused command exits 2
 with one ``error:`` line and writes nothing to stdout; a bad ``batch`` row is
@@ -10,16 +10,18 @@ from a small pool and valid weight strings have five fields, so no example
 runs an expensive system.
 """
 
+import argparse
 import contextlib
 import csv
 import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bhlink.cli import _FIXTURE_COLUMNS, _parse, build_parser, main
+from bhlink.cli import _FIXTURE_COLUMNS, _line_table, _parse, _parser, _read_line, build_parser, main
 from bhlink.fixture import ROWS
 
 SMALL = st.sampled_from(["1", "2", "3", "5", "7", "10", "30", "105"])
@@ -176,14 +178,32 @@ TOKEN = st.sampled_from(
         "analyze", "pipeline", "batch", "verify-table", "nosuch", "-h", "--help", "--he", "--",
         "-w", "--weights", "--we", "--weights=1,1,1,1,1", "-w1,1,1,1,1", "-d", "--degree", "--deg", "-d5",
         "--json", "--js", "--json=1", "--jobs", "--job", "--jobs=2", "--fixture", "--fix", "--bogus",
-        "1,1,1,1,1", "5", "-5", "", "x",
+        "1,1,1,1,1", "5", "-5", "", "x", "0", "2", "two", "in.csv", "out.csv",
     ]
 )
+# each command's options with their values, its flags and its positionals
+PLAIN = {
+    "analyze": [("-w", "1,1,1,1,1"), ("--weights", "15,35,14,7,35"), ("-d", "5"), ("--degree", "105"), ("--json",)],
+    "batch": [("in.csv",), ("out.csv",), ("--jobs", "0"), ("--jobs", "2"), ("--jobs", "two")],
+    "verify-table": [("--fixture", "x")],
+}
+PLAIN["pipeline"] = PLAIN["analyze"]
+# an option in value position, a blank value or a TOKEN
+ODD_PIECE = st.one_of(st.sampled_from([("-d", "-w"), ("-d", "")]), TOKEN.map(lambda token: (token,)))
+
+
+def _plain_line(command):
+    """The command word, then mostly its own plain pieces and now and then an
+    odd one: lines that reach every branch of the action-table reader, its
+    accepted lines among them."""
+    piece = st.integers(0, 5).flatmap(lambda k: st.sampled_from(PLAIN[command]) if k else ODD_PIECE)
+    return st.lists(piece, max_size=5).map(lambda pieces: [command, *(token for piece in pieces for token in piece)])
+
+
 COMMAND_LINE = st.one_of(
     st.lists(TOKEN, max_size=8),
-    st.tuples(st.sampled_from(["analyze", "pipeline", "batch", "verify-table"]), st.lists(TOKEN, max_size=8)).map(
-        lambda drawn: [drawn[0], *drawn[1]]
-    ),
+    st.tuples(st.sampled_from(sorted(PLAIN)), st.lists(TOKEN, max_size=8)).map(lambda drawn: [drawn[0], *drawn[1]]),
+    st.sampled_from(sorted(PLAIN)).flatmap(_plain_line),
 )
 
 
@@ -205,3 +225,73 @@ def _parsed(parse, argv):
 def test_direct_parse_matches_the_nested_parse(argv):
     # the same namespace, or the same exit code, help, usage and error line
     assert _parsed(_parse, argv) == _parsed(lambda tokens: build_parser().parse_args(tokens), argv)
+
+
+def _read(argv):
+    """What the action-table reader makes of a command line."""
+    return _read_line(argv[1:], *_parser()[2][argv[0]])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["analyze", "-w", "1,1,1,1,1", "-d", "5"], id="analyze"),
+        pytest.param(["pipeline", "--degree", "5", "--json", "--weights", "1,1,1,1,1", "--json"], id="pipeline"),
+        pytest.param(["analyze", "-d", "5", "-w", "1,1,1,1,1", "-d", "7"], id="repeated-last-wins"),
+        pytest.param(["batch", "in.csv", "--jobs", "2", "out.csv"], id="batch-interleaved"),
+        pytest.param(["verify-table"], id="verify-table"),
+        pytest.param(["verify-table", "--fixture", "x.csv"], id="verify-table-fixture"),
+    ],
+)
+def test_a_plain_line_is_read_off_the_action_table(argv):
+    args = _read(argv)
+    assert args is not None
+    assert _parsed(lambda tokens: args, argv) == _parsed(lambda tokens: build_parser().parse_args(tokens), argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["analyze", "-h"], id="help"),
+        pytest.param(["analyze", "--", "-w", "1,1,1,1,1", "-d", "5"], id="double-dash"),
+        pytest.param(["analyze", "--we", "1,1,1,1,1", "-d", "5"], id="abbreviation"),
+        pytest.param(["analyze", "--weights=1,1,1,1,1", "-d", "5"], id="equals-value"),
+        pytest.param(["analyze", "-w1,1,1,1,1", "-d", "5"], id="attached-value"),
+        pytest.param(["analyze", "-w", "1,1,1,1,1", "-d", "--json"], id="option-as-value"),
+        pytest.param(["analyze", "-w", "1,1,1,1,1", "-d", "-5"], id="negative-value"),
+        pytest.param(["analyze", "-w", "1,1,1,1,1", "-d"], id="missing-value"),
+        pytest.param(["analyze", "-w", "1,1,1,1,1", "-d", ""], id="blank-value"),
+        pytest.param(["analyze", "-w", "1,1,1,1,1"], id="missing-required-option"),
+        pytest.param(["batch", "in.csv"], id="missing-positional"),
+        pytest.param(["analyze", "-w", "1,1,1,1,1", "-d", "5", "x"], id="extra-positional"),
+        pytest.param(["batch", "in.csv", "out.csv", "--jobs", "two"], id="jobs-two"),
+        pytest.param(["batch", "in.csv", "out.csv", "--jobs", "0"], id="jobs-zero"),
+        pytest.param(["analyze", "-w", "1,1,1,1,1", "-d", "5", "--json=1"], id="flag-with-value"),
+        pytest.param(["analyze", "-w", "1,1,1,1,1", "-d", "5", "--bogus"], id="unknown-option"),
+    ],
+)
+def test_a_declined_line_reads_as_argparse_reads_it(argv):
+    # the same namespace, or the same exit code, help, usage and error line
+    assert _read(argv) is None
+    assert _parsed(_parse, argv) == _parsed(lambda tokens: build_parser().parse_args(tokens), argv)
+
+
+@pytest.mark.parametrize(
+    "add",
+    [
+        pytest.param(lambda parser: parser.add_argument("--mode", choices=["a", "b"]), id="choices"),
+        pytest.param(lambda parser: parser.add_argument("--count", type=int, default="3"), id="str-default"),
+        pytest.param(lambda parser: parser.add_argument("--tag", action="append"), id="append"),
+        pytest.param(lambda parser: parser.add_argument("rest", nargs="*"), id="nargs"),
+    ],
+)
+def test_a_parser_with_an_action_the_reader_does_not_model_has_no_table(add):
+    # every command has a table today; a parser that grows another kind of
+    # action loses its table, and argparse reads all its lines
+    assert set(_parser()[2]) == {"analyze", "pipeline", "batch", "verify-table"}
+    parser = argparse.ArgumentParser()
+    parser.add_argument("-w")
+    parser.add_argument("--json", action="store_true")
+    assert _line_table(parser) is not None
+    add(parser)
+    assert _line_table(parser) is None
