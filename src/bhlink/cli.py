@@ -85,7 +85,10 @@ def _parse_int(text: str, field: str) -> int:
     # of at most 500 characters cannot hold more than 500 digits
     if len(text) > 500 and len(text.strip().lstrip("+-").replace("_", "").lstrip("0")) > 500:
         raise ValueError(f"{field} has more than 500 digits")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{field} is not an integer: {text!r}") from None
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -565,14 +568,13 @@ def _line_table(command: argparse.ArgumentParser) -> tuple | None:
 
 
 @lru_cache(maxsize=1)
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, tuple]]:
-    """The top-level parser, built once per process, the subcommand parsers
-    it holds (the choices of the action ``add_subparsers`` returned) and the
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level parser, built once per process, and the
     :func:`_line_table` of each command whose parser has one."""
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     tables = {name: _line_table(command) for name, command in commands.items()}
-    return parser, commands, {name: table for name, table in tables.items() if table is not None}
+    return parser, {name: table for name, table in tables.items() if table is not None}
 
 
 def _read_line(tokens: list[str], options, positionals, required, defaults) -> argparse.Namespace | None:
@@ -609,28 +611,16 @@ def _read_line(tokens: list[str], options, positionals, required, defaults) -> a
 
 
 def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """Parse a command line once.  A plain line is read off its command's
-    action table by :func:`_read_line`, and argparse does not run.  argparse
-    reads any other line and alone writes help, usage and errors.  Its nested
-    parse reads every token twice: the top-level parser classifies them all,
-    then hands those after the command word to that command's parser.  Here
-    that parser alone reads them, and leftovers get the top-level parser's
-    ``unrecognized arguments`` error, as in the nested parse.  Help, no
-    arguments and an unknown command take the nested parse."""
+    """Parse a command line once: a plain line off its command's action table
+    by :func:`_read_line`, without argparse, and any other line by argparse's
+    own nested parse, which alone writes help, usage and errors."""
     argv = sys.argv[1:] if argv is None else argv
-    parser, commands, tables = _parser()
-    name = argv[0] if argv else None
-    if name in tables:
-        args = _read_line(argv[1:], *tables[name])
+    parser, tables = _parser()
+    if argv and argv[0] in tables:
+        args = _read_line(argv[1:], *tables[argv[0]])
         if args is not None:
             return args
-    command = commands.get(name)
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return parser.parse_args(argv)
 
 
 def _silence_failed(stream) -> None:

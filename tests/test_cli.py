@@ -1,5 +1,6 @@
 """Command-line surface: analyze, pipeline, batch, verify-table."""
 
+import argparse
 import concurrent.futures
 import contextlib
 import csv
@@ -86,7 +87,7 @@ def test_analyze_invalid_input_exit_2(capsys):
     assert main(["analyze", "-w", "1,x,1,1,1", "-d", "5"]) == 2
     assert "error: weights must be integers" in capsys.readouterr().err
     assert main(["analyze", "-w", "1,1,1,1,1", "-d", "x"]) == 2
-    assert capsys.readouterr().err == "error: invalid weight system: invalid literal for int() with base 10: 'x'\n"
+    assert capsys.readouterr().err == "error: invalid weight system: the degree is not an integer: 'x'\n"
 
 
 def test_analyze_degree_over_500_digits_exit_2(capsys):
@@ -592,6 +593,21 @@ def test_verify_table_fixture_torsion_naming_no_group_exit_2(tmp_path, capsys, t
     )
 
 
+@pytest.mark.parametrize(
+    "column, value, field",
+    [("dual_mu", "abc", "dual_mu"), ("tw2", "", "tw2"), ("dual_torsion", "Z_x", "a torsion factor")],
+)
+def test_verify_table_fixture_non_integer_field_names_its_column(tmp_path, capsys, column, value, field):
+    header = "w0,w1,w2,w3,w4,tw0,tw1,tw2,tw3,tw4,dual_d,dual_mu,dual_torsion"
+    row = dict(zip(header.split(","), "73,73,95,45,80,219,365,420,200,260,1460,1224,Z_73".split(",")))
+    row[column] = value
+    path = tmp_path / "fixture.csv"
+    path.write_text(f"{header}\n{','.join(row.values())}\n")
+    assert main(["verify-table", "--fixture", str(path)]) == 2
+    part = value.removeprefix("Z_")
+    assert _single_error_line(capsys) == f"error: malformed fixture row 2: {field} is not an integer: {part!r}\n"
+
+
 def test_verify_table_fixture_repeated_column_exit_2(tmp_path, capsys):
     # a dict record keeps the last w0; batch and verify-table refuse it alike
     path = tmp_path / "fixture.csv"
@@ -708,6 +724,13 @@ def test_batch_long_row_is_that_rows_error(tmp_path, capsys):
         assert long["error"] == "ValueError: 2 more fields than the header"
         assert long["d"] == "5" and long["b3"] == ""
         assert last["error"] == "" and last["torsion"] == "Z_7^26"
+
+
+def test_batch_non_integer_field_names_its_column(tmp_path, capsys):
+    blank, word, last = _batch_records(tmp_path, capsys, ",1,1,1,1,5\n1,1,1,1,1,x\n15,35,14,7,35,105\n")
+    assert blank["error"] == "ValueError: w0 is not an integer: ''"
+    assert word["error"] == "ValueError: the degree is not an integer: 'x'"
+    assert last["error"] == "" and last["torsion"] == "Z_7^26"
 
 
 def test_batch_huge_degree_is_that_rows_error(tmp_path, capsys):
@@ -1090,21 +1113,30 @@ def test_help_and_usage_errors_still_exit_through_argparse(capsys):
 
 
 def test_a_command_line_is_parsed_once(capsys, monkeypatch):
-    # a plain line is read off the action table and no argparse parse runs; a
-    # line the table declines is read once, by the command's own parser; the
-    # top-level parser reads neither
-    parser, commands, _ = cli._parser()
-    monkeypatch.setattr(parser, "parse_args", None)
-    monkeypatch.setattr(parser, "parse_known_args", None)
+    # a plain line is read off the action table and no argparse parse runs,
+    # at any level; a line the table declines takes one top-level parse_args,
+    # argparse's own nested parse, and prints the plain line's bytes
+    parser, _ = cli._parser()
     calls = []
-    real = commands["analyze"].parse_known_args
-    monkeypatch.setattr(commands["analyze"], "parse_known_args", lambda argv: calls.append(argv) or real(argv))
+
+    def recording(method):
+        real = getattr(argparse.ArgumentParser, method)
+
+        def record(self, args=None, namespace=None):
+            calls.append((method, self, args))
+            return real(self, args, namespace)
+
+        return record
+
+    for method in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, method, recording(method))
     assert main(["analyze", "-w", "15,35,14,7,35", "-d", "105"]) == 0
     assert calls == []
     plain = capsys.readouterr().out
     assert "Z_7^26" in plain
-    assert main(["analyze", "--weights=15,35,14,7,35", "-d", "105"]) == 0
-    assert calls == [["--weights=15,35,14,7,35", "-d", "105"]]
+    declined = ["analyze", "--weights=15,35,14,7,35", "-d", "105"]
+    assert main(declined) == 0
+    assert [call for call in calls if call[0] == "parse_args"] == [("parse_args", parser, declined)]
     assert capsys.readouterr().out == plain
 
 

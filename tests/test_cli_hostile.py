@@ -222,14 +222,14 @@ def _parsed(parse, argv):
 
 @settings(max_examples=300, deadline=None)
 @given(argv=COMMAND_LINE)
-def test_direct_parse_matches_the_nested_parse(argv):
+def test_parse_matches_the_nested_parse(argv):
     # the same namespace, or the same exit code, help, usage and error line
     assert _parsed(_parse, argv) == _parsed(lambda tokens: build_parser().parse_args(tokens), argv)
 
 
 def _read(argv):
     """What the action-table reader makes of a command line."""
-    return _read_line(argv[1:], *_parser()[2][argv[0]])
+    return _read_line(argv[1:], *_parser()[1][argv[0]])
 
 
 @pytest.mark.parametrize(
@@ -288,7 +288,7 @@ def test_a_declined_line_reads_as_argparse_reads_it(argv):
 def test_a_parser_with_an_action_the_reader_does_not_model_has_no_table(add):
     # every command has a table today; a parser that grows another kind of
     # action loses its table, and argparse reads all its lines
-    assert set(_parser()[2]) == {"analyze", "pipeline", "batch", "verify-table"}
+    assert set(_parser()[1]) == {"analyze", "pipeline", "batch", "verify-table"}
     parser = argparse.ArgumentParser()
     parser.add_argument("-w")
     parser.add_argument("--json", action="store_true")

@@ -373,14 +373,26 @@ def test_pipeline_whole_fixture():
 def test_se_verdict_kept_by_the_dual_of_an_index_one_rhs_source():
     # a rule derived and checked here, not quoted from the paper: for a
     # rational homology sphere source of index one, the dual's SE verdict is
-    # the source's.  The population holds both verdicts
-    verdicts = Counter()
-    for poly, ws in theorem_population():
-        assert homology_profile(ws).b3 == 0 and ws.fano_index() == 1, ws
+    # the source's.  Each pool holds both verdicts
+    for pool, counts in (
+        (theorem_population(), {Verdict.SASAKI_EINSTEIN: 985, Verdict.POSITIVE_RICCI_ONLY: 25}),
+        (index_one_chain_cycles(), {Verdict.SASAKI_EINSTEIN: 45, Verdict.POSITIVE_RICCI_ONLY: 3}),
+    ):
+        verdicts = Counter()
+        for poly, ws in pool:
+            assert homology_profile(ws).b3 == 0 and ws.fano_index() == 1, ws
+            verdict = se_certificate(ws).verdict
+            assert se_certificate(bh_dual(poly)[1]).verdict is verdict, (ws, str(poly))
+            verdicts[verdict] += 1
+        assert verdicts == counts
+    # every representation of a chain-cycle source, not only the pool's own
+    reports = 0
+    for _, ws in index_one_chain_cycles():
         verdict = se_certificate(ws).verdict
-        assert se_certificate(bh_dual(poly)[1]).verdict is verdict, (ws, str(poly))
-        verdicts[verdict] += 1
-    assert verdicts == {Verdict.SASAKI_EINSTEIN: 985, Verdict.POSITIVE_RICCI_ONLY: 25}
+        for report in pipeline(ws):
+            assert report.error is None and report.dual_verdict.verdict is verdict, (ws, str(report.source_polynomial))
+            reports += 1
+    assert reports == 114
 
 
 @pytest.mark.parametrize(
