@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+def _lowest_terms(numerator: int, denominator: int) -> str:
+    """numerator/denominator in lowest terms as Fraction prints it, for denominator > 0."""
+    g = gcd(numerator, denominator)
+    return f"{numerator // g}/{denominator // g}"
+
+
 class CyclotomicDivisor:
     """A finite combination sum(a_j L_j) with integer coefficients.
 
@@ -114,9 +120,7 @@ class CyclotomicDivisor:
                     denominator *= j**-a
         value, remainder = divmod(numerator, denominator)
         if remainder:
-            # both are positive: the fraction in lowest terms, as Fraction prints it
-            g = gcd(numerator, denominator)
-            raise NonIntegralOrder(f"torsion order {numerator // g}/{denominator // g} is not an integer")
+            raise NonIntegralOrder(f"torsion order {_lowest_terms(numerator, denominator)} is not an integer")
         return value
 
     def delta_eval(self, t: Fraction | int) -> Fraction:
@@ -166,11 +170,13 @@ def expand_link_divisor(pairs: Iterable[tuple[int, int]]) -> CyclotomicDivisor:
     product), and it maps the product to prod (u - v_i) = alpha u + beta.
     The class binomials are then multiplied over integer term maps by the
     gcd/lcm rule (indices are lcm's of the u_i, which keeps the term count
-    small), and the product is divided once by prod v_i.  Both routes to the
-    Betti number stay independent: this one forms no term per subset of the
-    variables.  A coefficient that does not divide signals an invalid weight
-    system and raises :class:`NonIntegralExpansion`, naming the largest index
-    whose coefficient is fractional.
+    small), and the product is divided once by prod v_i: the golden dual
+    (219, 365, 420, 200, 260; 1460), whose u are (20, 4, 73, 73, 73), takes
+    three products instead of five.  Both routes to the Betti number stay
+    independent: this one forms no term per subset of the variables.  A
+    coefficient that does not divide signals an invalid weight system and
+    raises :class:`NonIntegralExpansion`, naming the largest index whose
+    coefficient is fractional.
     """
     # u -> [prod (u - v_i), prod (-v_i)] over its class
     classes: dict[int, list[int]] = {}
@@ -203,8 +209,6 @@ def expand_link_divisor(pairs: Iterable[tuple[int, int]]) -> CyclotomicDivisor:
         coefficient, remainder = divmod(a, scale)
         if remainder:
             k = max(i for i, b in acc.items() if b % scale)
-            # scale > 0: the fraction in lowest terms, as Fraction prints it
-            g = gcd(acc[k], scale)
-            raise NonIntegralExpansion(f"coefficient of L{k} is {acc[k] // g}/{scale // g}, not an integer")
+            raise NonIntegralExpansion(f"coefficient of L{k} is {_lowest_terms(acc[k], scale)}, not an integer")
         terms[j] = coefficient
     return CyclotomicDivisor(terms)

@@ -82,6 +82,9 @@ def test_analyze_non_rhs(capsys):
 
 def test_analyze_invalid_input_exit_2(capsys):
     assert main(["analyze", "-w", "1,2,3", "-d", "10"]) == 2
+    assert capsys.readouterr().err == "error: expected 5 to 8 weights, got 3\n"
+    assert main(["analyze", "-w", ",".join(["1"] * 9), "-d", "2"]) == 2
+    assert capsys.readouterr().err == "error: expected 5 to 8 weights, got 9\n"
     # a weight at least as large as the degree is invalid data
     assert main(["analyze", "-w", "7,1,1,1,1", "-d", "5"]) == 2
     assert main(["analyze", "-w", "1,x,1,1,1", "-d", "5"]) == 2

@@ -96,6 +96,7 @@ def _corpus(tmp: Path) -> None:
         ["verify-table", "--fixture", str(fixture)],
         ["pipeline", "-w", "1,1,1,1,1,1,1", "-d", "3"],  # over the representation budget
         ["analyze", "-w", "1,2,3", "-d", "10"],
+        ["analyze", "-w", "2,3,4,5,6", "-d", "7"],  # not a link: a fractional divisor coefficient
         ["analyze", "-h"],
     ]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
